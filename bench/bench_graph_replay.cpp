@@ -1,12 +1,13 @@
 // Task-graph capture & replay: the amortization story end to end.
 //
-// Graph replay must be a pure host-side optimization — same schedule,
-// same virtual time, same numerics — that removes the per-iteration
-// dependence analysis and per-action lock traffic. The first two tables
-// replay the paper's iterative workloads (RTM timestep loop, CG
-// iteration loop) and show virtual time unchanged while the runtime
-// reuses thousands of captured edges; the third exercises the offline
-// passes a captured graph makes possible at all (transfer coalescing,
+// Graph replay must be a pure host-side change — same schedule, same
+// virtual time, same numerics — that resolves operands once at capture
+// and re-admits the nodes through the eager admission path. The first
+// two tables replay the paper's iterative workloads (RTM timestep loop,
+// CG iteration loop) and show virtual time unchanged; "replay edges"
+// counts the dependence edges admission wired into replayed actions
+// (stats().deps_reused). The third exercises the offline passes a
+// captured graph makes possible at all (transfer coalescing,
 // redundant-transfer elimination, critical-path attribution).
 
 #include <cstdio>
@@ -37,7 +38,7 @@ void rtm_table() {
 
   Table table("RTM pipelined, 4 ranks on 4 KNCs, 8 timesteps: eager vs "
               "graph replay");
-  table.header({"variant", "virtual s", "graphs", "replays", "edges reused"});
+  table.header({"variant", "virtual s", "graphs", "replays", "replay edges"});
   for (const bool replay : {false, true}) {
     auto rt = sim_runtime(sim::hsw_plus_knc(4));
     const double seconds = replay ? apps::run_rtm_graph(*rt, config).seconds
@@ -76,7 +77,7 @@ void cg_table() {
 
   Table table("CG 96x96 on 1 KNC: eager vs per-phase graph replay");
   table.header({"variant", "iterations", "virtual s", "graphs", "replays",
-                "edges reused"});
+                "replay edges"});
   for (const bool replay : {false, true}) {
     auto rt = sim_runtime(sim::hsw_plus_knc(1), true,
                           /*execute_payloads=*/true);

@@ -172,13 +172,13 @@ void async_alloc_table() {
 }
 
 /// Per-action host-side cost of getting work into a stream: eager
-/// enqueue (validation, operand resolution, and pairwise dependence
-/// analysis per action, one lock round-trip each) vs replay of a
-/// captured graph (one batch admission reusing the captured edges).
-/// The workload is the analysis worst case — N independent three-operand
-/// computes (the RTM slab shape) in one relaxed-FIFO stream, so eager
-/// pays O(N^2) operand intersections per iteration and replay pays
-/// none. Wall-clock host time; the sim backend keeps virtual time
+/// enqueue (validation, operand resolution, dependence analysis) vs
+/// replay of a captured graph, whose nodes carry resolved operands and
+/// re-enter through the same admission path (Runtime::submit). The
+/// workload is N independent three-operand computes (the RTM slab
+/// shape) in one relaxed-FIFO stream. These rows are the evidence that
+/// replay needs no admission path of its own (DESIGN.md "One admission
+/// path"). Wall-clock host time; the sim backend keeps virtual time
 /// frozen during the burst so only front-end cost is measured.
 void graph_replay_table() {
   Table table("Enqueue cost: eager vs graph replay "
@@ -249,9 +249,8 @@ void graph_replay_table() {
   table.print();
   // The sentence states what the rows above measured.
   const auto [lo, hi] = std::minmax_element(speedups.begin(), speedups.end());
-  std::printf("replay amortizes resolution + dependence analysis: eager "
-              "costs %.1fx (N=%zu) to %.1fx (N=%zu) replay's per-action "
-              "cost.\n",
+  std::printf("replay skips operand resolution only: eager costs %.1fx "
+              "(N=%zu) to %.1fx (N=%zu) replay's per-action cost.\n",
               lo->first, lo->second, hi->first, hi->second);
 }
 

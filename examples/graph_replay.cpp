@@ -1,13 +1,12 @@
-// Task-graph capture & replay: amortizing the enqueue cost of an
-// iterative loop.
+// Task-graph capture & replay of an iterative loop.
 //
 // A ping-pong relaxation kernel runs many sweeps of the same three
 // actions (upload boundary, compute, download result). Eagerly, every
-// sweep pays validation, operand resolution and dependence analysis per
-// action. Here the sweep is captured ONCE as a TaskGraph — through the
-// unmodified enqueue code — and then replayed per iteration as a single
-// pre-linked batch, with the ping/pong roles rotated by buffer
-// rebinding instead of recapturing.
+// sweep pays validation and operand resolution per action. Here the
+// sweep is captured ONCE as a TaskGraph — through the unmodified
+// enqueue code — and then replayed per iteration: each node re-enters
+// the runtime through the eager admission path, with the ping/pong
+// roles rotated by buffer rebinding instead of recapturing.
 //
 // Build & run:  ./examples/graph_replay
 
@@ -101,7 +100,7 @@ int main() {
 
   const RuntimeStats stats = runtime.stats();
   std::printf("stats: %llu graphs captured, %llu replays, %llu dependence "
-              "edges reused\n",
+              "edges wired into replayed actions\n",
               static_cast<unsigned long long>(stats.graphs_captured),
               static_cast<unsigned long long>(stats.graph_replays),
               static_cast<unsigned long long>(stats.deps_reused));

@@ -286,20 +286,24 @@ void Runtime::buffer_instantiate(BufferId id, DomainId domain) {
   require(domain.value < domains_.size(), "unknown domain", Errc::not_found);
   MemKind kind;
   std::size_t size = 0;
+  bool resident = false;
   {
     std::shared_lock buffers(buffers_mutex_);
     Buffer& buf = buffers_.get(id);
-    if (domain == kHostDomain || buf.instantiated_in(domain)) {
-      // Host incarnation aliases user memory; re-instantiation is a
-      // recency touch for the governor's LRU.
-      if (domain != kHostDomain) {
-        const std::scoped_lock gov(gov_mu_);
-        governor_.touch(domain, id);
-      }
-      return;
-    }
+    resident = domain == kHostDomain || buf.instantiated_in(domain);
     kind = buf.props().mem_kind;
     size = buf.size();
+  }
+  if (resident) {
+    // Host incarnation aliases user memory; re-instantiation is a
+    // recency touch for the governor's LRU. The buffer lock is dropped
+    // first: gov_mu_ sits above it in the lock order. Touch tolerates
+    // an incarnation evicted in between.
+    if (domain != kHostDomain) {
+      const std::scoped_lock gov(gov_mu_);
+      governor_.touch(domain, id);
+    }
+    return;
   }
   // Admission and instantiation must be one governor critical section:
   // otherwise a racing eviction could victimize the fresh (pins == 0)
@@ -877,29 +881,12 @@ CpuMask Runtime::stream_mask(StreamId id) const {
   return stream_state(id).mask;
 }
 
-Runtime::StreamState& Runtime::stream_state_unlocked(StreamId id) {
+Runtime::StreamState& Runtime::stream_state(StreamId id) const {
+  std::shared_lock streams(streams_mutex_);
   require(id.value < streams_.size() &&
               streams_[id.value]->alive.load(std::memory_order_acquire),
           "unknown stream", Errc::not_found);
   return *streams_[id.value];
-}
-
-const Runtime::StreamState& Runtime::stream_state_unlocked(
-    StreamId id) const {
-  require(id.value < streams_.size() &&
-              streams_[id.value]->alive.load(std::memory_order_acquire),
-          "unknown stream", Errc::not_found);
-  return *streams_[id.value];
-}
-
-Runtime::StreamState& Runtime::stream_state(StreamId id) {
-  std::shared_lock streams(streams_mutex_);
-  return stream_state_unlocked(id);
-}
-
-const Runtime::StreamState& Runtime::stream_state(StreamId id) const {
-  std::shared_lock streams(streams_mutex_);
-  return stream_state_unlocked(id);
 }
 
 // --- Enqueue ---------------------------------------------------------------
@@ -923,8 +910,7 @@ std::shared_ptr<EventState> Runtime::enqueue_compute(
   // Under capture the instantiation check is deferred to replay: a
   // captured alloc node earlier in the graph legalizes this use, and
   // GraphExec instantiates before admitting the launch.
-  CaptureSink* sink = capture_.load(std::memory_order_acquire);
-  const bool capturing = sink != nullptr && sink->captures(stream);
+  CaptureSink* sink = capture_for(stream);
   record->stream = stream;
   {
     std::shared_lock buffers(buffers_mutex_);
@@ -935,7 +921,7 @@ std::shared_ptr<EventState> Runtime::enqueue_compute(
       // and re-uploads it on demand (prepare_residency). usable_in reads
       // both states under one lock so a concurrent eviction can't be
       // observed mid-transition.
-      require(capturing || buf.usable_in(s.domain),
+      require(sink != nullptr || buf.usable_in(s.domain),
               "compute operand buffer not instantiated in sink domain",
               Errc::buffer_not_instantiated);
       // Enforce the creator's declared usage property (§II: buffers let
@@ -945,15 +931,8 @@ std::shared_ptr<EventState> Runtime::enqueue_compute(
       record->operands.push_back(op);
     }
   }
-  if (capturing) {
-    return sink->record(std::move(record));
-  }
-  tag_and_gate(s, *record, 0);
-  stats_.computes_enqueued.fetch_add(1, std::memory_order_relaxed);
-  if (TenantCounters* tc = slice_of(s)) {
-    tc->computes_enqueued.fetch_add(1, std::memory_order_relaxed);
-  }
-  return admit(s, std::move(record));
+  return sink != nullptr ? sink->record(std::move(record))
+                         : submit(s, std::move(record), nullptr);
 }
 
 std::shared_ptr<EventState> Runtime::enqueue_transfer(StreamId stream,
@@ -969,13 +948,12 @@ std::shared_ptr<EventState> Runtime::enqueue_transfer(StreamId stream,
   const bool aliased = (s.domain == kHostDomain);
   // As in enqueue_compute, capture defers the instantiation check to
   // replay (a captured alloc node may precede this transfer).
-  CaptureSink* sink = capture_.load(std::memory_order_acquire);
-  const bool capturing = sink != nullptr && sink->captures(stream);
+  CaptureSink* sink = capture_for(stream);
   {
     std::shared_lock buffers(buffers_mutex_);
     Buffer& buf = buffers_.find_containing(proxy, len);
     if (!aliased) {
-      require(capturing || buf.usable_in(s.domain),
+      require(sink != nullptr || buf.usable_in(s.domain),
               "transfer target buffer not instantiated in sink domain",
               Errc::buffer_not_instantiated);
     }
@@ -989,18 +967,8 @@ std::shared_ptr<EventState> Runtime::enqueue_transfer(StreamId stream,
         Operand{buf.id(), record->transfer.offset, len,
                 dir == XferDir::src_to_sink ? Access::out : Access::in});
   }
-  if (capturing) {
-    return sink->record(std::move(record));
-  }
-  tag_and_gate(s, *record, len);
-  stats_.transfers_enqueued.fetch_add(1, std::memory_order_relaxed);
-  if (TenantCounters* tc = slice_of(s)) {
-    tc->transfers_enqueued.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (aliased) {
-    stats_.transfers_aliased_away.fetch_add(1, std::memory_order_relaxed);
-  }
-  return admit(s, std::move(record));
+  return sink != nullptr ? sink->record(std::move(record))
+                         : submit(s, std::move(record), nullptr);
 }
 
 std::shared_ptr<EventState> Runtime::enqueue_transfer_from(StreamId stream,
@@ -1022,15 +990,14 @@ std::shared_ptr<EventState> Runtime::enqueue_transfer_from(StreamId stream,
           "(use enqueue_transfer for device->host)");
   require(peer != s.domain, "peer equals the sink domain");
   record->stream = stream;
-  CaptureSink* sink = capture_.load(std::memory_order_acquire);
-  const bool capturing = sink != nullptr && sink->captures(stream);
+  CaptureSink* sink = capture_for(stream);
   {
     std::shared_lock buffers(buffers_mutex_);
     Buffer& buf = buffers_.find_containing(proxy, len);
-    require(capturing || buf.usable_in(s.domain),
+    require(sink != nullptr || buf.usable_in(s.domain),
             "transfer target buffer not instantiated in sink domain",
             Errc::buffer_not_instantiated);
-    require(capturing || buf.usable_in(peer),
+    require(sink != nullptr || buf.usable_in(peer),
             "transfer source buffer not instantiated in peer domain",
             Errc::buffer_not_instantiated);
     record->transfer = TransferPayload{buf.id(), buf.offset_of(proxy), len,
@@ -1039,15 +1006,8 @@ std::shared_ptr<EventState> Runtime::enqueue_transfer_from(StreamId stream,
     record->operands.push_back(
         Operand{buf.id(), record->transfer.offset, len, Access::out});
   }
-  if (capturing) {
-    return sink->record(std::move(record));
-  }
-  tag_and_gate(s, *record, len);
-  stats_.transfers_enqueued.fetch_add(1, std::memory_order_relaxed);
-  if (TenantCounters* tc = slice_of(s)) {
-    tc->transfers_enqueued.fetch_add(1, std::memory_order_relaxed);
-  }
-  return admit(s, std::move(record));
+  return sink != nullptr ? sink->record(std::move(record))
+                         : submit(s, std::move(record), nullptr);
 }
 
 std::shared_ptr<EventState> Runtime::enqueue_alloc(StreamId stream,
@@ -1060,8 +1020,7 @@ std::shared_ptr<EventState> Runtime::enqueue_alloc(StreamId stream,
   require(s.domain != kHostDomain,
           "alloc targets a device (the host aliases user memory)");
   record->stream = stream;
-  CaptureSink* sink = capture_.load(std::memory_order_acquire);
-  const bool capturing = sink != nullptr && sink->captures(stream);
+  CaptureSink* sink = capture_for(stream);
   {
     std::shared_lock buffers(buffers_mutex_);
     Buffer& buf = buffers_.get(buffer);
@@ -1072,20 +1031,15 @@ std::shared_ptr<EventState> Runtime::enqueue_alloc(StreamId stream,
         TransferPayload{buffer, 0, buf.size(), XferDir::src_to_sink};
     record->operands.push_back(Operand{buffer, 0, buf.size(), Access::out});
   }
-  if (capturing) {
+  if (sink != nullptr) {
     // Budget charge and incarnation bookkeeping are deferred to replay
     // (GraphExec instantiates before admitting the launch).
     return sink->record(std::move(record));
   }
-  tag_and_gate(s, *record, 0);
-  stats_.syncs_enqueued.fetch_add(1, std::memory_order_relaxed);
-  if (TenantCounters* tc = slice_of(s)) {
-    tc->syncs_enqueued.fetch_add(1, std::memory_order_relaxed);
-  }
   // Charge budget and declare the incarnation now (enqueue time); the
   // executor pays the modeled allocation latency in stream order.
   buffer_instantiate(buffer, s.domain);
-  return admit(s, std::move(record));
+  return submit(s, std::move(record), nullptr);
 }
 
 std::shared_ptr<EventState> Runtime::enqueue_event_wait(
@@ -1095,35 +1049,19 @@ std::shared_ptr<EventState> Runtime::enqueue_event_wait(
   auto record = std::make_shared<ActionRecord>();
   record->type = ActionType::event_wait;
   record->wait_event = std::move(event);
-
-  StreamState& s = stream_state(stream);
-  require_domain_alive(s.domain);
-  record->stream = stream;
-  {
-    std::shared_lock buffers(buffers_mutex_);
-    for (const OperandRef& ref : operands) {
-      record->operands.push_back(
-          buffers_.resolve(ref.ptr, ref.len, ref.access));
-    }
-  }
-  record->full_barrier = record->operands.empty();
-  CaptureSink* sink = capture_.load(std::memory_order_acquire);
-  if (sink != nullptr && sink->captures(stream)) {
-    return sink->record(std::move(record));
-  }
-  tag_and_gate(s, *record, 0);
-  stats_.syncs_enqueued.fetch_add(1, std::memory_order_relaxed);
-  if (TenantCounters* tc = slice_of(s)) {
-    tc->syncs_enqueued.fetch_add(1, std::memory_order_relaxed);
-  }
-  return admit(s, std::move(record));
+  return enqueue_sync(stream, std::move(record), operands);
 }
 
 std::shared_ptr<EventState> Runtime::enqueue_signal(
     StreamId stream, std::span<const OperandRef> operands) {
   auto record = std::make_shared<ActionRecord>();
   record->type = ActionType::event_signal;
+  return enqueue_sync(stream, std::move(record), operands);
+}
 
+std::shared_ptr<EventState> Runtime::enqueue_sync(
+    StreamId stream, std::shared_ptr<ActionRecord> record,
+    std::span<const OperandRef> operands) {
   StreamState& s = stream_state(stream);
   require_domain_alive(s.domain);
   record->stream = stream;
@@ -1135,33 +1073,63 @@ std::shared_ptr<EventState> Runtime::enqueue_signal(
     }
   }
   record->full_barrier = record->operands.empty();
-  CaptureSink* sink = capture_.load(std::memory_order_acquire);
-  if (sink != nullptr && sink->captures(stream)) {
-    return sink->record(std::move(record));
+  CaptureSink* sink = capture_for(stream);
+  return sink != nullptr ? sink->record(std::move(record))
+                         : submit(s, std::move(record), nullptr);
+}
+
+std::shared_ptr<EventState> Runtime::submit(
+    std::shared_ptr<ActionRecord> record,
+    std::vector<std::shared_ptr<ActionRecord>>* deferred) {
+  StreamState& s = stream_state(record->stream);
+  require_domain_alive(s.domain);
+  return submit(s, std::move(record), deferred);
+}
+
+std::shared_ptr<EventState> Runtime::submit(
+    StreamState& stream, std::shared_ptr<ActionRecord> record,
+    std::vector<std::shared_ptr<ActionRecord>>* deferred) {
+  tag_and_gate(stream, *record,
+               record->type == ActionType::transfer ? record->transfer.length
+                                                    : 0);
+  // One enqueue counter per action type, globally and in the tenant's
+  // slice; allocs, waits and signals count as syncs.
+  auto global = &AtomicStats::syncs_enqueued;
+  auto tenant = &TenantCounters::syncs_enqueued;
+  if (record->type == ActionType::compute) {
+    global = &AtomicStats::computes_enqueued;
+    tenant = &TenantCounters::computes_enqueued;
+  } else if (record->type == ActionType::transfer) {
+    global = &AtomicStats::transfers_enqueued;
+    tenant = &TenantCounters::transfers_enqueued;
   }
-  tag_and_gate(s, *record, 0);
-  stats_.syncs_enqueued.fetch_add(1, std::memory_order_relaxed);
-  if (TenantCounters* tc = slice_of(s)) {
-    tc->syncs_enqueued.fetch_add(1, std::memory_order_relaxed);
+  (stats_.*global).fetch_add(1, std::memory_order_relaxed);
+  if (TenantCounters* tc = slice_of(stream)) {
+    (tc->*tenant).fetch_add(1, std::memory_order_relaxed);
   }
-  return admit(s, std::move(record));
+  if (record->type == ActionType::transfer && stream.domain == kHostDomain) {
+    stats_.transfers_aliased_away.fetch_add(1, std::memory_order_relaxed);
+  }
+  return admit(stream, std::move(record), deferred);
+}
+
+void Runtime::dispatch_ready(
+    std::span<const std::shared_ptr<ActionRecord>> ready) {
+  for (const auto& record : ready) {
+    dispatch(record);
+  }
 }
 
 // --- Scheduling ------------------------------------------------------------
 
-std::vector<ActionId> Runtime::legacy_blockers(const StreamState& stream,
-                                               const ActionRecord& record,
-                                               std::size_t limit) const {
+std::vector<ActionId> Runtime::legacy_blockers(
+    const StreamState& stream, const ActionRecord& record) const {
   // The pre-index pairwise scan: the oracle reference and the
   // HS_DEP_LEGACY baseline. Window order == seq order == id order within
   // a stream, so the result is sorted by id. Cancelled actions have no
   // effects and finish without waiting, so nothing waits on them.
   std::vector<ActionId> out;
-  std::size_t steps = 0;
-  const std::size_t n = std::min(limit, stream.window.size());
-  for (std::size_t j = 0; j < n; ++j) {
-    const auto& earlier = stream.window[j];
-    ++steps;
+  for (const auto& earlier : stream.window) {
     if (earlier->state == ActionRecord::State::done || earlier->cancelled) {
       continue;
     }
@@ -1169,27 +1137,24 @@ std::vector<ActionId> Runtime::legacy_blockers(const StreamState& stream,
       out.push_back(earlier->id);
     }
   }
-  stats_.dep_scan_steps.fetch_add(steps, std::memory_order_relaxed);
+  stats_.dep_scan_steps.fetch_add(stream.window.size(),
+                                  std::memory_order_relaxed);
   return out;
 }
 
 std::vector<ActionId> Runtime::indexed_blockers(const StreamState& stream,
-                                                const ActionRecord& record,
-                                                std::size_t window_limit) {
+                                                const ActionRecord& record) {
   std::vector<ActionId> out;
   if (record.full_barrier) {
-    // A barrier conflicts with everything: the window residue itself is
-    // the blocker set; the index cannot beat a linear walk here.
-    std::size_t steps = 0;
-    const std::size_t n = std::min(window_limit, stream.window.size());
-    for (std::size_t j = 0; j < n; ++j) {
-      const auto& earlier = stream.window[j];
-      ++steps;
+    // A barrier conflicts with everything: the window itself is the
+    // blocker set; the index cannot beat a linear walk here.
+    for (const auto& earlier : stream.window) {
       if (earlier->state != ActionRecord::State::done && !earlier->cancelled) {
         out.push_back(earlier->id);
       }
     }
-    stats_.dep_scan_steps.fetch_add(steps, std::memory_order_relaxed);
+    stats_.dep_scan_steps.fetch_add(stream.window.size(),
+                                    std::memory_order_relaxed);
   } else {
     // Live stream-wide barriers conflict with every later action but
     // carry no operands, so they ride alongside the byte-range index.
@@ -1209,8 +1174,7 @@ std::vector<ActionId> Runtime::indexed_blockers(const StreamState& stream,
   }
   if (dep_oracle_) {
     stats_.dep_oracle_checks.fetch_add(1, std::memory_order_relaxed);
-    const std::vector<ActionId> reference =
-        legacy_blockers(stream, record, window_limit);
+    const std::vector<ActionId> reference = legacy_blockers(stream, record);
     // Closure equivalence: every edge found is a scan edge, and every
     // scan edge left out is implied by a path to an edge found.
     const bool subset = std::includes(reference.begin(), reference.end(),
@@ -1288,7 +1252,8 @@ void Runtime::rebuild_dep_index(StreamState& stream) {
 }
 
 std::shared_ptr<EventState> Runtime::admit(
-    StreamState& stream, std::shared_ptr<ActionRecord> record) {
+    StreamState& stream, std::shared_ptr<ActionRecord> record,
+    std::vector<std::shared_ptr<ActionRecord>>* deferred) {
   auto completion = record->completion;
   bool ready = false;
   {
@@ -1332,9 +1297,8 @@ std::shared_ptr<EventState> Runtime::admit(
       stats_.dep_scan_steps.fetch_add(steps, std::memory_order_relaxed);
     } else {
       const std::vector<ActionId> blockers =
-          dep_legacy_
-              ? legacy_blockers(stream, *record, stream.window.size())
-              : indexed_blockers(stream, *record, stream.window.size());
+          dep_legacy_ ? legacy_blockers(stream, *record)
+                      : indexed_blockers(stream, *record);
       for (const ActionId pred : blockers) {
         DepState* pd = dep_find(pred);
         require(pd != nullptr, "missing predecessor dep entry",
@@ -1345,6 +1309,9 @@ std::shared_ptr<EventState> Runtime::admit(
       if (!dep_legacy_) {
         index_insert(stream, *record, blockers);
       }
+    }
+    if (record->graph != 0) {
+      stats_.deps_reused.fetch_add(dep.blockers, std::memory_order_relaxed);
     }
 
     stream.window.push_back(record);
@@ -1394,12 +1361,21 @@ std::shared_ptr<EventState> Runtime::admit(
     }
   }
   if (ready) {
-    dispatch(record);
+    if (deferred != nullptr) {
+      deferred->push_back(std::move(record));
+    } else {
+      dispatch(record);
+    }
   }
   return completion;
 }
 
 // --- Task-graph capture & replay -------------------------------------------
+
+CaptureSink* Runtime::capture_for(StreamId stream) const {
+  CaptureSink* sink = capture_.load(std::memory_order_acquire);
+  return sink != nullptr && sink->captures(stream) ? sink : nullptr;
+}
 
 void Runtime::set_capture(CaptureSink* sink) {
   const std::scoped_lock lock(mutex_);
@@ -1417,236 +1393,8 @@ void Runtime::note_transfers_coalesced(std::uint64_t count) {
   stats_.transfers_coalesced.fetch_add(count, std::memory_order_relaxed);
 }
 
-void Runtime::admit_prelinked(std::span<const PrelinkedAction> batch,
-                              std::uint32_t graph_id) {
-  std::vector<std::shared_ptr<ActionRecord>> ready;
-  // Service gating runs before any stream lock is taken: a tenant blocked
-  // on its fair turn or a byte quota must hold nothing another tenant's
-  // admission or a completion needs. One before_admit per record keeps
-  // replayed work gate-equivalent to the eager enqueue path.
-  for (const PrelinkedAction& entry : batch) {
-    StreamState& s = stream_state(entry.record->stream);
-    tag_and_gate(s, *entry.record,
-                 entry.record->type == ActionType::transfer
-                     ? entry.record->transfer.length
-                     : 0);
-    // The gate permit is released per record, not held across the batch:
-    // one thread admitting an N-record batch while permits < N would
-    // self-deadlock waiting on its own earlier acquires. Fair pacing and
-    // quota charging already happened inside tag_and_gate; `gated` stays
-    // set so completion still releases the byte budget.
-    if (entry.record->gated) {
-      if (AdmissionHook* hook =
-              admission_hook_.load(std::memory_order_acquire)) {
-        hook->after_admit(entry.record->tenant, entry.record->type);
-      }
-    }
-  }
-  // Collect the batch's streams and lock them all in ascending-id order
-  // (deadlock-free against concurrent batches). Holding every involved
-  // stream lock for the whole batch preserves the prelinked invariant:
-  // an in-batch pred cannot complete while later entries are wired to it.
-  std::vector<StreamState*> order;
-  {
-    std::shared_lock streams(streams_mutex_);
-    for (const PrelinkedAction& entry : batch) {
-      StreamState& s = stream_state_unlocked(entry.record->stream);
-      if (std::find(order.begin(), order.end(), &s) == order.end()) {
-        order.push_back(&s);
-      }
-    }
-  }
-  std::sort(order.begin(), order.end(),
-            [](const StreamState* a, const StreamState* b) {
-              return a->id.value < b->id.value;
-            });
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(order.size());
-  for (StreamState* s : order) {
-    std::unique_lock<std::mutex> l(s->mu, std::try_to_lock);
-    if (!l.owns_lock()) {
-      stats_.lock_shard_contention.fetch_add(1, std::memory_order_relaxed);
-      l.lock();
-    }
-    locks.push_back(std::move(l));
-  }
-  {
-    // Pre-batch boundary per stream: actions already in a window are
-    // *residue* (typically eager uploads or a previous replay) and still
-    // need a conflict scan — only edges among batch members are
-    // pre-resolved. The legacy residue scan stops at the boundary's
-    // window index; the index needs no boundary, because batch members
-    // enter it only after the whole batch is wired (below), so every
-    // residue lookup sees exactly the pre-batch index.
-    std::unordered_map<std::uint32_t, std::size_t> boundary;
-    std::unordered_map<std::uint32_t, StreamState*> by_id;
-    for (StreamState* s : order) {
-      // All-or-nothing: a dead domain rejects the batch before any of
-      // it is admitted.
-      require_domain_alive(s->domain);
-      boundary.emplace(s->id.value, s->window.size());
-      by_id.emplace(s->id.value, s);
-    }
-    // Each indexed member's blockers (residue plus captured), ascending:
-    // the entries its writes may prune once it enters the index.
-    std::vector<ActionId> pred_ids;
-    std::vector<std::size_t> pred_end(batch.size(), 0);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const PrelinkedAction& entry = batch[i];
-      const std::shared_ptr<ActionRecord>& record = entry.record;
-      StreamState& s = *by_id.at(record->stream.value);
-      record->id =
-          ActionId{next_action_id_.fetch_add(1, std::memory_order_relaxed)};
-      record->seq = s.next_seq++;
-      record->graph = graph_id;
-      reserve_pins(*record, s.domain);
-      if (record->type == ActionType::transfer && s.domain != kHostDomain) {
-        record->transfer_seq =
-            next_transfer_seq_[s.domain.value].fetch_add(
-                1, std::memory_order_relaxed);
-      }
-
-      DepState dep;
-      dep.record = record;
-      dep.stream = &s;
-
-      if (s.policy == OrderPolicy::strict_fifo) {
-        std::size_t steps = 0;
-        for (auto it = s.window.rbegin(); it != s.window.rend(); ++it) {
-          ++steps;
-          if ((*it)->state != ActionRecord::State::done) {
-            DepState* prev = dep_find((*it)->id);
-            require(prev != nullptr, "missing strict-chain predecessor",
-                    Errc::internal);
-            prev->successors.push_back(record->id);
-            dep.blockers = 1;
-            break;
-          }
-        }
-        stats_.dep_scan_steps.fetch_add(steps, std::memory_order_relaxed);
-      } else {
-        // Residue analysis against pre-batch window entries only; edges
-        // within the batch come from the capture.
-        const std::size_t bound = boundary.at(s.id.value);
-        const std::vector<ActionId> blockers =
-            dep_legacy_ ? legacy_blockers(s, *record, bound)
-                        : indexed_blockers(s, *record, bound);
-        for (const ActionId pred : blockers) {
-          DepState* pd = dep_find(pred);
-          require(pd != nullptr, "missing predecessor dep entry",
-                  Errc::internal);
-          pd->successors.push_back(record->id);
-        }
-        dep.blockers = blockers.size();
-        const std::size_t first_pred = pred_ids.size();
-        if (!dep_legacy_) {
-          pred_ids.insert(pred_ids.end(), blockers.begin(), blockers.end());
-          for (const std::uint32_t pred : entry.preds) {
-            pred_ids.push_back(batch[pred].record->id);
-          }
-          std::sort(pred_ids.begin() + static_cast<std::ptrdiff_t>(first_pred),
-                    pred_ids.end());
-        }
-        for (const std::uint32_t pred : entry.preds) {
-          // In-batch preds were admitted earlier in this loop and cannot
-          // have completed: their stream locks are held for the whole
-          // batch. Their seqs are >= the boundary, so captured edges
-          // never collide with residue edges.
-          DepState* pd = dep_find(batch[pred].record->id);
-          require(pd != nullptr, "missing in-batch predecessor",
-                  Errc::internal);
-          pd->successors.push_back(record->id);
-          ++dep.blockers;
-        }
-        stats_.deps_reused.fetch_add(entry.preds.size(),
-                                     std::memory_order_relaxed);
-      }
-
-      pred_end[i] = pred_ids.size();
-      s.window.push_back(record);
-      if (dep.blockers == 0) {
-        record->state = ActionRecord::State::dispatched;
-        if (record != s.window.front()) {
-          stats_.ooo_dispatches.fetch_add(1, std::memory_order_relaxed);
-        }
-        ready.push_back(record);
-      }
-      {
-        DepShard& shard = shard_for(record->id);
-        lock_counted(shard.mu);
-        const std::lock_guard<std::mutex> sl(shard.mu, std::adopt_lock);
-        shard.map.emplace(record->id, std::move(dep));
-      }
-
-      TenantCounters* tc = slice_of(s);
-      switch (record->type) {
-        case ActionType::compute:
-          stats_.computes_enqueued.fetch_add(1, std::memory_order_relaxed);
-          if (tc != nullptr) {
-            tc->computes_enqueued.fetch_add(1, std::memory_order_relaxed);
-          }
-          break;
-        case ActionType::transfer:
-          stats_.transfers_enqueued.fetch_add(1, std::memory_order_relaxed);
-          if (tc != nullptr) {
-            tc->transfers_enqueued.fetch_add(1, std::memory_order_relaxed);
-          }
-          if (s.domain == kHostDomain) {
-            stats_.transfers_aliased_away.fetch_add(
-                1, std::memory_order_relaxed);
-          }
-          break;
-        default:
-          stats_.syncs_enqueued.fetch_add(1, std::memory_order_relaxed);
-          if (tc != nullptr) {
-            tc->syncs_enqueued.fetch_add(1, std::memory_order_relaxed);
-          }
-          break;
-      }
-
-      if (trace_ != nullptr) {
-        TraceRecorder::Record tr;
-        tr.action = record->id;
-        tr.stream = record->stream;
-        tr.domain = s.domain;
-        tr.type = record->type;
-        tr.graph = graph_id;
-        tr.tenant = record->tenant;
-        tr.session = record->session;
-        if (record->type == ActionType::compute) {
-          tr.label = record->compute.kernel;
-          tr.flops = record->compute.flops;
-        } else if (record->type == ActionType::transfer) {
-          tr.label = record->transfer.peer != kHostDomain ? "xfer d2d"
-                     : record->transfer.dir == XferDir::src_to_sink
-                         ? "xfer h2d"
-                         : "xfer d2h";
-          tr.bytes = record->transfer.length;
-        }
-        tr.enqueue_s = executor_->now();
-        trace_->on_enqueue(tr);
-      }
-    }
-    if (!dep_legacy_) {
-      // A member's writes prune only its own blockers: a captured graph
-      // remapped onto one stream may hold conflicting members with no
-      // edge between them, and both must stay visible.
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        const ActionRecord& record = *batch[i].record;
-        StreamState& s = *by_id.at(record.stream.value);
-        if (s.policy != OrderPolicy::strict_fifo) {
-          const std::size_t first = i == 0 ? 0 : pred_end[i - 1];
-          index_insert(s, record,
-                       std::span(pred_ids).subspan(first, pred_end[i] - first));
-        }
-      }
-    }
-    stats_.graph_replays.fetch_add(1, std::memory_order_relaxed);
-  }
-  locks.clear();
-  for (const auto& record : ready) {
-    dispatch(record);
-  }
+void Runtime::note_graph_replay() {
+  stats_.graph_replays.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Runtime::dispatch(const std::shared_ptr<ActionRecord>& record) {

@@ -15,6 +15,12 @@
 //   * Across streams (and between streams and the host) there are no
 //     implicit dependences; events are the only ordering mechanism.
 //
+// Every action enters through one admission path: the enqueue_* front
+// ends resolve operands into an ActionRecord (or hand it to an active
+// graph capture), and submit() gates it, counts it, and admits it into
+// its stream window. Graph replay (graph/replay.hpp) feeds its
+// materialized nodes through the same submit().
+//
 // Execution itself — threads and time — is delegated to an Executor
 // backend (threaded or simulated).
 
@@ -73,9 +79,10 @@ struct RuntimeStats {
   std::uint64_t actions_cancelled = 0;  ///< drained by stream_cancel
   std::uint64_t domains_lost = 0;       ///< devices declared dead
   std::uint64_t graphs_captured = 0;    ///< task graphs recorded (graph/)
-  std::uint64_t graph_replays = 0;      ///< graph launches via admit_prelinked
-  std::uint64_t deps_reused = 0;  ///< captured dependence edges replayed
-                                  ///< without re-running conflict analysis
+  std::uint64_t graph_replays = 0;      ///< graph launches (GraphExec)
+  std::uint64_t deps_reused = 0;  ///< dependence edges wired at admission
+                                  ///< into replayed (graph id != 0)
+                                  ///< actions
   std::uint64_t transfers_coalesced = 0;  ///< transfer nodes merged/dropped
                                           ///< by graph passes
   std::uint64_t links_degraded = 0;    ///< links that crossed into degraded
@@ -266,17 +273,6 @@ class AdmissionHook {
     (void)domain;
     (void)bytes;
   }
-};
-
-/// One entry of a pre-linked (captured-graph) launch batch: a fresh record
-/// plus the indices of earlier batch entries it depends on. See
-/// Runtime::admit_prelinked.
-struct PrelinkedAction {
-  std::shared_ptr<ActionRecord> record;
-  /// Indices into the batch of earlier same-stream actions whose operands
-  /// conflict with this one — the dependence analysis result, computed
-  /// once at capture and reused every replay.
-  std::span<const std::uint32_t> preds;
 };
 
 class Runtime {
@@ -471,17 +467,24 @@ class Runtime {
   /// Exactly one capture may be active at a time.
   void set_capture(CaptureSink* sink);
 
-  /// Admits one captured-graph launch as a single batch: one lock
-  /// acquisition for the whole graph, and per-action dependence wiring
-  /// that reuses the captured edges (`PrelinkedAction::preds`) instead of
-  /// re-running the pairwise operand-conflict analysis. Actions are only
-  /// scanned against the *residue* of earlier work still incomplete in
-  /// their stream's window, so back-to-back replays pipeline with the
-  /// same semantics eager enqueue would have. Entries must be ordered so
-  /// every pred index refers to an earlier entry. `graph_id` tags the
-  /// admitted actions (and their trace records).
-  void admit_prelinked(std::span<const PrelinkedAction> batch,
-                       std::uint32_t graph_id);
+  /// Admits one fully-formed record — graph replay's materialized nodes
+  /// come in here — exactly as an eager enqueue of it would be: stream
+  /// lookup and liveness check (Errc::device_lost), the service gate,
+  /// the enqueue counters, then dependence analysis against the stream's
+  /// window. The capture sink is not consulted. `record->stream` names
+  /// the target stream and `record->graph` tags the action (0 = eager).
+  /// With `deferred` set, a record that is ready at admission is
+  /// appended to it instead of dispatched; the caller owes one
+  /// dispatch_ready over the list, also when a later submit throws.
+  std::shared_ptr<EventState> submit(
+      std::shared_ptr<ActionRecord> record,
+      std::vector<std::shared_ptr<ActionRecord>>* deferred = nullptr);
+
+  /// Dispatches records a series of submit calls held back.
+  void dispatch_ready(std::span<const std::shared_ptr<ActionRecord>> ready);
+
+  /// Counts one graph launch (graph/replay.cpp).
+  void note_graph_replay();
 
   /// Counts one finished capture and hands out the graph's id (ids start
   /// at 1; 0 marks eager actions).
@@ -705,15 +708,10 @@ class Runtime {
   };
   static constexpr std::size_t kDepShards = 16;
 
-  /// Self-locking lookups (shared streams_mutex_ inside); the returned
+  /// Self-locking lookup (shared streams_mutex_ inside); the returned
   /// reference stays valid for the runtime's lifetime (entries are
   /// pointer-stable and never erased).
-  [[nodiscard]] StreamState& stream_state(StreamId id);
-  [[nodiscard]] const StreamState& stream_state(StreamId id) const;
-  /// Variants for callers already holding streams_mutex_ (shared_mutex
-  /// acquisition is not recursive).
-  [[nodiscard]] StreamState& stream_state_unlocked(StreamId id);
-  [[nodiscard]] const StreamState& stream_state_unlocked(StreamId id) const;
+  [[nodiscard]] StreamState& stream_state(StreamId id) const;
 
   /// Locks `m`, counting a contended acquisition (try_lock miss) into
   /// lock_shard_contention.
@@ -727,27 +725,41 @@ class Runtime {
   /// the only erasure path).
   [[nodiscard]] DepState* dep_find(ActionId id);
 
+  /// The shared tail of every enqueue front end and of the public
+  /// submit, for callers that already looked the stream up and checked
+  /// its domain: service gate, enqueue counters, admit.
+  std::shared_ptr<EventState> submit(
+      StreamState& stream, std::shared_ptr<ActionRecord> record,
+      std::vector<std::shared_ptr<ActionRecord>>* deferred);
+
+  /// Shared body of enqueue_event_wait and enqueue_signal: resolves
+  /// `operands` (none = stream-wide barrier) onto `record`.
+  std::shared_ptr<EventState> enqueue_sync(
+      StreamId stream, std::shared_ptr<ActionRecord> record,
+      std::span<const OperandRef> operands);
+
+  /// The attached capture sink if it claims `stream`, else nullptr.
+  [[nodiscard]] CaptureSink* capture_for(StreamId stream) const;
+
   /// Inserts a fully-formed record into its stream window, wires
-  /// dependence edges, and dispatches it if already ready. Takes the
-  /// stream's lock.
-  std::shared_ptr<EventState> admit(StreamState& stream,
-                                    std::shared_ptr<ActionRecord> record);
+  /// dependence edges, and dispatches it if already ready — or, with
+  /// `deferred` set, appends it there for the caller to dispatch. Takes
+  /// the stream's lock.
+  std::shared_ptr<EventState> admit(
+      StreamState& stream, std::shared_ptr<ActionRecord> record,
+      std::vector<std::shared_ptr<ActionRecord>>* deferred);
 
   /// Computes this record's blockers among earlier incomplete window
-  /// entries by the legacy pairwise scan (stream lock held). `limit`
-  /// bounds the scan to the first `limit` window entries (the pre-batch
-  /// residue for prelinked admission; the full window otherwise).
+  /// entries by the legacy pairwise scan (stream lock held).
   [[nodiscard]] std::vector<ActionId> legacy_blockers(
-      const StreamState& stream, const ActionRecord& record,
-      std::size_t limit) const;
+      const StreamState& stream, const ActionRecord& record) const;
 
   /// Computes blockers via the per-buffer interval index + live-barrier
   /// list (stream lock held), deduped and in admission (seq) order. The
-  /// set is closure-equivalent to legacy_blockers over the first
-  /// `window_limit` window entries, which the oracle checks when on.
+  /// set is closure-equivalent to legacy_blockers, which the oracle
+  /// checks when on.
   [[nodiscard]] std::vector<ActionId> indexed_blockers(
-      const StreamState& stream, const ActionRecord& record,
-      std::size_t window_limit);
+      const StreamState& stream, const ActionRecord& record);
 
   /// True if `from` is in `targets` (ascending) or reaches one through
   /// successor edges (stream locks of the path held). Oracle only.
@@ -769,7 +781,7 @@ class Runtime {
   /// Service-mode pre-admission: stamps the stream's tenant/session
   /// binding onto `record` and, when an admission hook is installed,
   /// runs before_admit (which may block for a fair-turn or throw
-  /// quota_exceeded). Called on every enqueue front-end *before* any
+  /// quota_exceeded). Called by submit for every admission *before* any
   /// stream/shard lock is taken, so a blocked tenant holds nothing
   /// another tenant's enqueue or completion needs. `bytes` is the
   /// transfer length (0 for computes/syncs).

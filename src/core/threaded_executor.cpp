@@ -58,8 +58,10 @@ void ThreadedExecutor::RetryTimer::schedule_after(double delay_s,
     if (!thread_.joinable()) {
       thread_ = std::thread([this] { timer_main(); });
     }
+    // Notified under the lock: once it is released, ~RetryTimer may take
+    // it and destroy cv_.
+    cv_.notify_all();
   }
-  cv_.notify_all();
 }
 
 void ThreadedExecutor::RetryTimer::timer_main() {

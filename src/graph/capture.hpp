@@ -13,9 +13,9 @@
 //     code that wants to talk in node indices instead of events.
 //
 // finish() runs the per-stream dependence analysis once — the same
-// analysis Runtime::admit would run per enqueue, per iteration — and
-// bakes the edges into the graph. That single pass is the capture-time
-// cost replay amortizes.
+// conflict rule Runtime::admit applies per enqueue — and bakes the edges
+// into the graph, where passes and recovery planning read them. Replay
+// does not reuse them: it re-admits every node through Runtime::submit.
 
 #include <cstdint>
 #include <memory>

@@ -3,13 +3,15 @@
 // Task-graph IR.
 //
 // A TaskGraph is a captured sequence of stream actions with their
-// dependence edges pre-resolved. The motivating observation (§III of the
+// dependence edges resolved. The motivating observation (§III of the
 // paper, generalized): iterative applications enqueue the *same* action
-// pattern every timestep, yet the eager front-end pays the pairwise
-// operand-intersection analysis on every enqueue. Capturing one
-// iteration as a graph amortizes that analysis — replay feeds the
-// recorded nodes through Runtime::admit_prelinked, which reuses the
-// captured edges and skips the quadratic scan entirely.
+// pattern every timestep. Capturing one iteration as a graph resolves
+// its operands once, lets offline passes coalesce or drop transfers, and
+// gives recovery (passes.hpp) and checkpointed restart an explicit
+// dependence structure to plan over. Replay (replay.hpp) admits the
+// nodes through the eager admission path, Runtime::submit, which
+// re-derives their dependences from operands; the recorded `preds` are
+// the IR for passes and planning, not an admission shortcut.
 //
 // Nodes are stored in capture (program) order; every dependence edge
 // points backward (`preds[i] < i`, `wait_node < i`), so the node array
@@ -52,9 +54,10 @@ struct GraphNode {
   std::shared_ptr<EventState> external_event;
 
   /// Same-stream dependence edges (indices of earlier nodes this one
-  /// must wait for), computed once by GraphCapture::finish with exactly
-  /// the analysis Runtime::admit runs per enqueue: strict_fifo chains on
-  /// the previous node; relaxed_fifo intersects operand ranges.
+  /// must wait for), computed once by GraphCapture::finish with the same
+  /// conflict rule Runtime::admit applies per enqueue: strict_fifo chains
+  /// on the previous node; relaxed_fifo intersects operand ranges. Read
+  /// by passes and recovery planning; replay re-derives its own edges.
   std::vector<std::uint32_t> preds;
 
   /// True if this node's operands (or barrier flag) conflict with an

@@ -1,5 +1,8 @@
 #include "graph/replay.hpp"
 
+#include <algorithm>
+#include <numeric>
+#include <string>
 #include <utility>
 
 #include "common/status.hpp"
@@ -48,6 +51,7 @@ std::shared_ptr<ActionRecord> GraphExec::materialize(const GraphNode& node) {
   auto record = std::make_shared<ActionRecord>();
   record->type = node.type;
   record->stream = mapped(node.stream);
+  record->graph = graph_.id;
   record->full_barrier = node.full_barrier;
   record->operands = node.operands;
   for (Operand& op : record->operands) {
@@ -66,65 +70,56 @@ std::shared_ptr<ActionRecord> GraphExec::materialize(const GraphNode& node) {
   return record;
 }
 
-GraphExec::Launch GraphExec::launch() {
-  // The whole batch goes through Runtime::admit_prelinked, which locks
-  // only the streams the graph touches (in ascending-id order) and wires
-  // the captured edges verbatim; only the residue against pre-batch
-  // window entries is re-analyzed, via the per-stream dependence index.
-  const std::size_t n = graph_.nodes.size();
-  std::vector<PrelinkedAction> batch(n);
-  Launch out;
-  out.events.reserve(n);
-  out.records.resize(n);
+namespace {
 
-  for (std::size_t i = 0; i < n; ++i) {
-    const GraphNode& node = graph_.nodes[i];
-    auto record = materialize(node);
-    if (node.type == ActionType::event_wait) {
-      record->wait_event = node.wait_node != kNoNode
-                               ? out.records[node.wait_node]->completion
-                               : node.external_event;
-    }
-    out.events.push_back(record->completion);
-    batch[i] = PrelinkedAction{record, std::span(node.preds)};
-    out.records[i] = std::move(record);
-  }
+/// Dispatches the members a launch held back once it leaves scope:
+/// normally after the last member is admitted, and also when an
+/// admission throws, so members already admitted are never stranded.
+struct DispatchOnExit {
+  Runtime& runtime;
+  std::vector<std::shared_ptr<ActionRecord>> ready;
+  ~DispatchOnExit() { runtime.dispatch_ready(ready); }
+};
 
-  runtime_.admit_prelinked(batch, graph_.id);
-  return out;
-}
+}  // namespace
 
-GraphExec::Launch GraphExec::launch_subset(
-    std::span<const std::uint32_t> nodes, bool count_recovery) {
+GraphExec::Launch GraphExec::admit(std::span<const std::uint32_t> members) {
   const std::size_t n = graph_.nodes.size();
   Launch out;
   out.events.resize(n);
   out.records.resize(n);
-  if (nodes.empty()) {
-    return out;
+
+  // All-or-nothing against a dead domain: every stream the launch
+  // touches is checked before any member is materialized or admitted.
+  std::vector<StreamId> streams;
+  for (const std::uint32_t i : members) {
+    const StreamId stream = mapped(graph_.nodes[i].stream);
+    if (std::find(streams.begin(), streams.end(), stream) == streams.end()) {
+      streams.push_back(stream);
+    }
+  }
+  for (const StreamId stream : streams) {
+    const DomainId domain = runtime_.stream_domain(stream);
+    require(runtime_.domain_alive(domain),
+            "domain " + std::to_string(domain.value) + " was lost",
+            Errc::device_lost);
   }
 
-  // Membership map: node index -> subset position (or kNoNode).
-  std::vector<std::uint32_t> position(n, kNoNode);
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    require(nodes[i] < n, "launch_subset: node index out of range",
-            Errc::out_of_range);
-    require(i == 0 || nodes[i] > nodes[i - 1],
-            "launch_subset: node indices must be strictly ascending");
-    position[nodes[i]] = static_cast<std::uint32_t>(i);
-  }
-
-  std::vector<PrelinkedAction> batch(nodes.size());
-  // Filtered pred edges, kept alive for the duration of admit_prelinked.
-  std::vector<std::vector<std::uint32_t>> preds(nodes.size());
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const GraphNode& node = graph_.nodes[nodes[i]];
+  // Each member goes through the eager admission path, which re-derives
+  // its dependences against the streams' windows. Dispatch waits for the
+  // whole launch: a member run inline could fail its domain (a device
+  // loss on the launch's own first upload) while later members are
+  // still being admitted, and would throw that loss out of launch().
+  DispatchOnExit dispatch{runtime_, {}};
+  for (const std::uint32_t i : members) {
+    const GraphNode& node = graph_.nodes[i];
     auto record = materialize(node);
     if (node.type == ActionType::event_wait) {
-      if (node.wait_node != kNoNode && position[node.wait_node] != kNoNode) {
-        record->wait_event =
-            out.records[nodes[position[node.wait_node]]]->completion;
-      } else if (node.wait_node != kNoNode) {
+      if (node.wait_node == kNoNode) {
+        record->wait_event = node.external_event;
+      } else if (out.records[node.wait_node] != nullptr) {
+        record->wait_event = out.records[node.wait_node]->completion;
+      } else {
         // The producer is outside the subset: it completed in the prior
         // launch, so the wait is already satisfied.
         auto satisfied = std::make_shared<EventState>();
@@ -132,28 +127,41 @@ GraphExec::Launch GraphExec::launch_subset(
           callback();  // no registered callbacks; fire before sharing
         }
         record->wait_event = std::move(satisfied);
-      } else {
-        record->wait_event = node.external_event;
       }
     }
-    // Keep only in-subset pred edges; out-of-subset preds completed in
-    // the prior launch. (Transitive ordering between subset members
-    // survives this filter: the re-execution closure is successor-closed,
-    // so any captured path between two members runs through members.)
-    for (const std::uint32_t pred : node.preds) {
-      if (position[pred] != kNoNode) {
-        preds[i].push_back(position[pred]);
-      }
-    }
-    out.events[nodes[i]] = record->completion;
-    batch[i] = PrelinkedAction{record, std::span(preds[i])};
-    out.records[nodes[i]] = std::move(record);
+    out.events[i] = record->completion;
+    out.records[i] = record;
+    (void)runtime_.submit(std::move(record), &dispatch.ready);
   }
+  runtime_.note_graph_replay();
+  return out;
+}
 
+GraphExec::Launch GraphExec::launch() {
+  std::vector<std::uint32_t> all(graph_.nodes.size());
+  std::iota(all.begin(), all.end(), 0u);
+  return admit(all);
+}
+
+GraphExec::Launch GraphExec::launch_subset(
+    std::span<const std::uint32_t> nodes, bool count_recovery) {
+  const std::size_t n = graph_.nodes.size();
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    require(nodes[i] < n, "launch_subset: node index out of range",
+            Errc::out_of_range);
+    require(i == 0 || nodes[i] > nodes[i - 1],
+            "launch_subset: node indices must be strictly ascending");
+  }
+  if (nodes.empty()) {
+    Launch out;
+    out.events.resize(n);
+    out.records.resize(n);
+    return out;
+  }
+  Launch out = admit(nodes);
   if (count_recovery) {
     runtime_.note_partial_recovery(nodes.size());
   }
-  runtime_.admit_prelinked(batch, graph_.id);
   return out;
 }
 

@@ -5,16 +5,20 @@
 //
 // Each launch() materializes fresh ActionRecords from the graph nodes
 // (the records are single-use runtime state; the graph is the reusable
-// template) and admits them as one batch through
-// Runtime::admit_prelinked — one lock acquisition per graph, captured
-// edges reused verbatim, no pairwise operand intersection. In-graph
-// event waits are rewired to the producer's fresh completion event, so
-// cross-stream ordering replays exactly as captured.
+// template) and admits them one by one through Runtime::submit — the
+// same admission path as an eager enqueue, so dependences are derived
+// from operands against the streams' windows exactly as eager enqueue
+// would derive them. What a graph saves is the front-end work: operands
+// are resolved once at capture, and passes may have coalesced or dropped
+// transfers. In-graph event waits are rewired to the producer's fresh
+// completion event, so cross-stream ordering replays exactly as
+// captured. Ready members are dispatched once the whole launch is
+// admitted.
 //
 // Buffer rebinding lets iterative apps swap operand storage between
 // launches without recapturing: RTM ping-pongs three wavefield levels by
-// rotating `bind()` calls per timestep, while the graph's dependence
-// *structure* — which is invariant under the rotation — is reused.
+// rotating `bind()` calls per timestep; admission derives each launch's
+// dependences from the rebound operands.
 
 #include <cstdint>
 #include <memory>
@@ -77,10 +81,10 @@ class GraphExec {
   Launch launch();
 
   /// Admits only `nodes` (ascending node indices — typically a
-  /// RecoveryPlan::rerun set). Edges between two subset members are
-  /// kept; edges from a non-member are dropped (the non-member completed
-  /// in the prior launch, so the dependence is already satisfied), and
-  /// an in-graph wait on a non-member producer is satisfied immediately.
+  /// RecoveryPlan::rerun set). Members are ordered against each other
+  /// and against work still in their streams' windows by the usual
+  /// operand analysis; a non-member completed in the prior launch, so an
+  /// in-graph wait on a non-member producer is satisfied immediately.
   /// Combined with map_stream re-homing dead streams and the caller
   /// rolling back the written host ranges (RecoveryPlan::restore), this
   /// is partial re-execution: only the lost subgraph runs again. Counts
@@ -95,10 +99,15 @@ class GraphExec {
  private:
   [[nodiscard]] BufferId mapped(BufferId id) const;
   [[nodiscard]] StreamId mapped(StreamId id) const;
-  /// Fresh per-launch record for one node (stream/buffer maps applied;
-  /// alloc nodes instantiate). Wait events are wired by the callers.
+  /// Fresh per-launch record for one node (stream/buffer maps applied,
+  /// tagged with the graph id; alloc nodes instantiate). Wait events are
+  /// wired by admit.
   [[nodiscard]] std::shared_ptr<ActionRecord> materialize(
       const GraphNode& node);
+  /// The launch loop shared by launch and launch_subset: checks every
+  /// member stream's domain is alive, then materializes and submits
+  /// `members` (ascending) in order.
+  Launch admit(std::span<const std::uint32_t> members);
 
   Runtime& runtime_;
   TaskGraph graph_;

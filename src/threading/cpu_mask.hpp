@@ -9,10 +9,12 @@
 // meaningless. The partitioning semantics — disjointness, subset checks,
 // even division among streams — are what the runtime depends on.)
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.hpp"
@@ -41,18 +43,16 @@ class CpuMask {
   [[nodiscard]] static CpuMask first_n(std::size_t n) { return range(0, n); }
 
   void set(std::size_t cpu) {
-    require(cpu < kMaxCpus, "CpuMask::set out of bounds");
-    words_[cpu / 64] |= (std::uint64_t{1} << (cpu % 64));
+    words_[word_index(cpu, "CpuMask::set out of bounds")] |= bit(cpu);
   }
 
   void clear(std::size_t cpu) {
-    require(cpu < kMaxCpus, "CpuMask::clear out of bounds");
-    words_[cpu / 64] &= ~(std::uint64_t{1} << (cpu % 64));
+    words_[word_index(cpu, "CpuMask::clear out of bounds")] &= ~bit(cpu);
   }
 
   [[nodiscard]] bool test(std::size_t cpu) const {
-    require(cpu < kMaxCpus, "CpuMask::test out of bounds");
-    return (words_[cpu / 64] >> (cpu % 64)) & 1U;
+    return (words_[word_index(cpu, "CpuMask::test out of bounds")] &
+            bit(cpu)) != 0;
   }
 
   [[nodiscard]] std::size_t count() const noexcept {
@@ -163,6 +163,19 @@ class CpuMask {
   }
 
  private:
+  /// Index of the word holding `cpu`; throws `message` unless
+  /// cpu < kMaxCpus. The index is clamped as well: sanitizer builds keep
+  /// the store after the throwing check, and GCC flags an inlined
+  /// out-of-range constant there (-Warray-bounds).
+  [[nodiscard]] static std::size_t word_index(std::size_t cpu,
+                                              std::string_view message) {
+    require(cpu < kMaxCpus, message);
+    return std::min(cpu / 64, kWords - 1);
+  }
+  [[nodiscard]] static std::uint64_t bit(std::size_t cpu) noexcept {
+    return std::uint64_t{1} << (cpu % 64);
+  }
+
   std::uint64_t words_[kWords]{};
 };
 

@@ -9,7 +9,10 @@
 //    cross-check every admission — each index blocker is a scan blocker,
 //    and each scan blocker reaches an index blocker through the
 //    successor graph — and throw Errc::internal on any gap, so simply
-//    running the random workload to completion is the assertion.
+//    running the random workload to completion is the assertion. The
+//    workload is then captured as a graph and replayed, also with two
+//    captured streams mapped onto one: replay admits through the same
+//    path, so the oracle checks every replayed admission too.
 //  - A determinism fingerprint: the same workload replayed in virtual
 //    time with the index and with HS_DEP_LEGACY-style pairwise scanning
 //    must produce bit-identical schedules (same now(), same dispatch
@@ -30,6 +33,8 @@
 
 #include "core/runtime.hpp"
 #include "core/threaded_executor.hpp"
+#include "graph/capture.hpp"
+#include "graph/replay.hpp"
 #include "sim/platform.hpp"
 #include "sim/sim_executor.hpp"
 
@@ -96,6 +101,23 @@ std::uint64_t enqueued(const std::vector<FuzzAction>& workload) {
                     [](const FuzzAction& a) { return !a.cancel; }));
 }
 
+/// Enqueues one step of a workload (not a cancel) into `stream`.
+void enqueue_step(Runtime& rt, StreamId stream, const unsigned char* arena,
+                  const FuzzAction& action) {
+  if (action.ops.empty()) {
+    (void)rt.enqueue_signal(stream);
+    return;
+  }
+  std::vector<OperandRef> ops;
+  ops.reserve(action.ops.size());
+  for (const FuzzAction::Op& op : action.ops) {
+    ops.push_back({arena + op.offset, op.len, op.access});
+  }
+  ComputePayload payload;
+  payload.body = [](TaskContext&) {};
+  (void)rt.enqueue_compute(stream, std::move(payload), ops);
+}
+
 /// Replays `workload` against `rt` and waits for it to drain.
 void run_workload(Runtime& rt, const std::vector<StreamId>& streams,
                   const unsigned char* arena,
@@ -104,21 +126,39 @@ void run_workload(Runtime& rt, const std::vector<StreamId>& streams,
     const StreamId stream = streams[action.stream];
     if (action.cancel) {
       (void)rt.stream_cancel(stream);
-      continue;
+    } else {
+      enqueue_step(rt, stream, arena, action);
     }
-    if (action.ops.empty()) {
-      (void)rt.enqueue_signal(stream);
-      continue;
-    }
-    std::vector<OperandRef> ops;
-    ops.reserve(action.ops.size());
-    for (const FuzzAction::Op& op : action.ops) {
-      ops.push_back({arena + op.offset, op.len, op.access});
-    }
-    ComputePayload payload;
-    payload.body = [](TaskContext&) {};
-    (void)rt.enqueue_compute(stream, std::move(payload), ops);
   }
+  rt.synchronize();
+}
+
+/// Graph launches replay_workload makes.
+constexpr std::uint64_t kLaunches = 3;
+
+/// Captures `workload`'s actions as a graph and replays it through the
+/// eager admission path: two launches back to back (the second admits
+/// against the first's residue), then one with the second captured
+/// stream mapped onto the first, so one window holds both streams'
+/// nodes. Waits for it to drain.
+void replay_workload(Runtime& rt, const std::vector<StreamId>& streams,
+                     const unsigned char* arena,
+                     const std::vector<FuzzAction>& workload) {
+  graph::TaskGraph captured;
+  {
+    graph::GraphCapture capture(rt, streams);
+    for (const FuzzAction& action : workload) {
+      if (!action.cancel) {
+        enqueue_step(rt, streams[action.stream], arena, action);
+      }
+    }
+    captured = capture.finish();
+  }
+  graph::GraphExec exec(rt, std::move(captured));
+  (void)exec.launch();
+  (void)exec.launch();
+  exec.map_stream(streams[1], streams[0]);
+  (void)exec.launch();
   rt.synchronize();
 }
 
@@ -155,9 +195,12 @@ TEST_P(DepOracleFuzz, IndexMatchesLegacyScanOnRandomOverlaps) {
     }
     const std::vector<FuzzAction> workload = make_workload(seed);
     run_workload(*rt, streams, arena, workload);
+    replay_workload(*rt, streams, arena, workload);
     const RuntimeStats stats = rt->stats();
     EXPECT_EQ(stats.actions_completed + stats.actions_cancelled,
-              enqueued(workload));
+              enqueued(workload) * (1 + kLaunches));
+    EXPECT_EQ(stats.graph_replays, kLaunches);
+    EXPECT_GT(stats.deps_reused, 0u) << "replay wired no edges";
     if (policy == OrderPolicy::relaxed_fifo) {
       // Strict-FIFO admissions chain on the previous action and never
       // consult the index, so only relaxed streams record checks.

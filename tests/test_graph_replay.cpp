@@ -1,10 +1,10 @@
 // Tests for the task-graph subsystem (src/graph): capture through the
 // Runtime front-end, the GraphBuilder API, optimization passes, replay
-// through Runtime::admit_prelinked with buffer rebinding, and the
-// graph-replay app variants. The headline claims are checked directly:
-// replay is bit-identical to eager execution on both backends, and on
-// the simulator the two produce identical traces — same dependence
-// structure, same virtual timestamps.
+// through Runtime::submit (the eager admission path) with buffer
+// rebinding, and the graph-replay app variants. The headline claims are
+// checked directly: replay is bit-identical to eager execution on both
+// backends, and on the simulator the two produce identical traces —
+// same dependence structure, same virtual timestamps.
 
 #include <gtest/gtest.h>
 

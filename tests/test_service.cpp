@@ -304,6 +304,52 @@ TEST(ServiceQuota, OversizedTransferFailsEvenInBlockingMode) {
   session->close();
 }
 
+class ServiceQuotaReplay : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ServiceQuotaReplay, RejectedLaunchReleasesAdmittedBytes) {
+  // A replayed launch is gated member by member: the first 8 KiB upload
+  // is charged and admitted, the second breaches the quota and throws
+  // out of launch(). The admitted upload must still run and return its
+  // bytes, or the tenant's budget leaks for good.
+  auto rt = GetParam() ? sim_runtime() : threaded_runtime();
+  Service svc(*rt);
+  const std::uint32_t t = svc.tenant_create(
+      {.name = "t", .max_bytes_in_flight = 8 * 1024,
+       .quota_mode = QuotaMode::fail});
+  auto session = svc.open_session(t);
+  const StreamId s = session->stream_create(DomainId{1}, CpuMask::first_n(2));
+  std::vector<double> data(2048, 1.0);  // 16 KiB
+  session->buffer_create("x", data.data(), data.size() * sizeof(double));
+  session->buffer_instantiate("x", DomainId{1});
+  graph::TaskGraph graph;
+  {
+    auto capture = session->begin_capture();
+    (void)session->enqueue_transfer(s, data.data(), 8 * 1024,
+                                    XferDir::src_to_sink);
+    (void)session->enqueue_transfer(s, &data[1024], 8 * 1024,
+                                    XferDir::src_to_sink);
+    graph = capture->finish();
+  }
+  graph::GraphExec exec(*rt, std::move(graph));
+  try {
+    (void)exec.launch();
+    FAIL() << "the second upload must breach the 8 KiB quota";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), Errc::quota_exceeded);
+  }
+  rt->synchronize();
+  const TenantStats stats = svc.tenant_stats(t);
+  EXPECT_EQ(stats.quota_rejections, 1u);
+  EXPECT_EQ(stats.bytes_in_flight, 0u);
+  session->close();
+}
+
+INSTANTIATE_TEST_SUITE_P(Executors, ServiceQuotaReplay,
+                         ::testing::Values(true, false),
+                         [](const ::testing::TestParamInfo<bool>& pinfo) {
+                           return pinfo.param ? "Sim" : "Threaded";
+                         });
+
 TEST(ServiceQuota, DeviceResidencyQuotaGatesInstantiation) {
   auto rt = sim_runtime();
   Service svc(*rt);
