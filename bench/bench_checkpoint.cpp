@@ -31,8 +31,6 @@
 namespace hs::bench {
 namespace {
 
-bool quick() { return std::getenv("HS_BENCH_QUICK") != nullptr; }
-
 /// Scratch checkpoint directory under $TMPDIR, removed on scope exit.
 struct CkptDir {
   std::string path;
@@ -136,7 +134,7 @@ void interval_table(std::size_t n, std::size_t tile) {
 }  // namespace hs::bench
 
 int main() {
-  const std::size_t n = hs::bench::quick() ? 96 : 192;
+  const std::size_t n = hs::bench::quick_mode() ? 96 : 192;
   const std::size_t tile = 24;
   hs::bench::amplification_table(n, tile);
   hs::bench::interval_table(n, tile);

@@ -11,9 +11,9 @@
 //
 // Each configuration is measured twice in-process: with the per-buffer
 // dependence index (the default) and with RuntimeConfig::dep_legacy_scan
-// (the pre-index path, same as HS_DEP_LEGACY=1). The acceptance target
-// for the index is >=2x lower per-action cost at window depth >= 64 with
-// >= 4 streams.
+// (the pre-index path, same as HS_CONFIG=dep_legacy_scan=1). The
+// acceptance target for the index is >=2x lower per-action cost at
+// window depth >= 64 with >= 4 streams.
 //
 // A second table times the shapes whose edges the index prunes — a
 // same-tile `inout` chain (Cholesky's trailing updates) and many readers
@@ -27,7 +27,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -39,11 +38,6 @@
 
 namespace hs::bench {
 namespace {
-
-bool quick_mode() {
-  const char* v = std::getenv("HS_BENCH_QUICK");
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
 
 struct Shape {
   std::size_t streams;

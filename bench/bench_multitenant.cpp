@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -37,11 +36,6 @@
 
 namespace hs::bench {
 namespace {
-
-bool quick_mode() {
-  const char* v = std::getenv("HS_BENCH_QUICK");
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
 
 std::uint64_t percentile(std::vector<std::uint64_t> values, double p) {
   if (values.empty()) {
@@ -273,24 +267,17 @@ void soak(bool quick) {
   // Reconciliation: every stream in this runtime is session-bound, so
   // the per-tenant slices must sum exactly to the global counters.
   const RuntimeStats total = runtime.stats();
-  TenantStatsSlice sum;
-  for (std::uint32_t t = 1; t <= runtime.tenant_count(); ++t) {
-    const TenantStatsSlice s = runtime.tenant_slice(t);
-    sum.computes_enqueued += s.computes_enqueued;
-    sum.transfers_enqueued += s.transfers_enqueued;
-    sum.syncs_enqueued += s.syncs_enqueued;
-    sum.actions_completed += s.actions_completed;
-    sum.bytes_transferred += s.bytes_transferred;
-    sum.transfers_elided += s.transfers_elided;
-    sum.bytes_elided += s.bytes_elided;
-  }
-  const bool reconciled = sum.computes_enqueued == total.computes_enqueued &&
-                          sum.transfers_enqueued == total.transfers_enqueued &&
-                          sum.syncs_enqueued == total.syncs_enqueued &&
-                          sum.actions_completed == total.actions_completed &&
-                          sum.bytes_transferred == total.bytes_transferred &&
-                          sum.transfers_elided == total.transfers_elided &&
-                          sum.bytes_elided == total.bytes_elided;
+  bool reconciled = true;
+  for_each_counter([&](const CounterInfo& c) {
+    if (c.slice == nullptr) {
+      return;
+    }
+    std::uint64_t sum = 0;
+    for (std::uint32_t t = 1; t <= runtime.tenant_count(); ++t) {
+      sum += runtime.tenant_slice(t).*c.slice;
+    }
+    reconciled = reconciled && sum == total.*c.total;
+  });
 
   std::uint64_t gate_waits = 0;
   for (const std::uint32_t t : tenants) {

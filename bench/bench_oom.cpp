@@ -16,7 +16,6 @@
 // to one budget; each row is labelled with the fraction it really ran at,
 // and a fraction that clamps onto the previous row's budget is skipped.
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -26,11 +25,6 @@
 
 namespace hs::bench {
 namespace {
-
-bool quick_mode() {
-  const char* v = std::getenv("HS_BENCH_QUICK");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
 
 struct PointResult {
   double virtual_ms = 0.0;

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -188,9 +187,7 @@ void graph_replay_table() {
   // HS_BENCH_QUICK=1 (the CI perf-smoke job): fewer reps, small-N rows
   // only. Row keys stay a subset of the full sweep so the regression
   // check can compare either run against the committed baseline.
-  const char* quick_env = std::getenv("HS_BENCH_QUICK");
-  const bool quick = quick_env != nullptr && quick_env[0] != '\0' &&
-                     !(quick_env[0] == '0' && quick_env[1] == '\0');
+  const bool quick = quick_mode();
   const int kReps = quick ? 8 : 25;
   const std::vector<std::size_t> sizes =
       quick ? std::vector<std::size_t>{64u, 256u}

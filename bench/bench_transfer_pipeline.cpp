@@ -22,7 +22,6 @@
 // any regression is a real scheduling/model change, not noise).
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -38,11 +37,6 @@
 
 namespace hs::bench {
 namespace {
-
-bool quick_mode() {
-  const char* v = std::getenv("HS_BENCH_QUICK");
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
 
 /// Fresh two-card sim runtime with the given pipeline knobs. Routed
 /// through SimRuntimePtr so the coherence counters land in the JSON.

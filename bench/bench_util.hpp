@@ -26,8 +26,10 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "common/json_report.hpp"
+#include "common/kv_list.hpp"
 #include "common/status.hpp"
 #include "common/table.hpp"
 #include "core/runtime.hpp"
@@ -37,30 +39,12 @@
 
 namespace hs::bench {
 
-namespace detail {
-
-/// Calls `apply(key, value)` for each comma-separated key=value pair.
-template <typename Fn>
-void parse_kv_list(const std::string& text, const char* env_name, Fn apply) {
-  std::size_t begin = 0;
-  while (begin < text.size()) {
-    std::size_t end = text.find(',', begin);
-    if (end == std::string::npos) {
-      end = text.size();
-    }
-    const std::string item = text.substr(begin, end - begin);
-    if (!item.empty()) {
-      const std::size_t eq = item.find('=');
-      require(eq != std::string::npos && eq > 0,
-              std::string(env_name) + ": expected key=value, got '" + item +
-                  "'");
-      apply(item.substr(0, eq), std::stod(item.substr(eq + 1)));
-    }
-    begin = end + 1;
-  }
+/// Quick mode for CI smoke runs: $HS_BENCH_QUICK set to anything but ""
+/// or "0". Each bench shrinks its sweep its own way.
+inline bool quick_mode() {
+  const char* v = std::getenv("HS_BENCH_QUICK");
+  return v != nullptr && v[0] != '\0' && std::string_view(v) != "0";
 }
-
-}  // namespace detail
 
 /// FaultPlan from $HS_BENCH_FAULTS (empty/unset = perfect interconnect).
 inline FaultPlan fault_plan_from_env() {
@@ -69,8 +53,9 @@ inline FaultPlan fault_plan_from_env() {
   if (env == nullptr) {
     return plan;
   }
-  detail::parse_kv_list(env, "HS_BENCH_FAULTS",
-                        [&plan](const std::string& key, double value) {
+  parse_kv_list(env, "HS_BENCH_FAULTS",
+                [&plan](const std::string& key, const std::string& text) {
+    const double value = kv_number("HS_BENCH_FAULTS", key, text);
     if (key == "seed") {
       plan.seed = static_cast<std::uint64_t>(value);
     } else if (key == "p_device_loss") {
@@ -95,8 +80,9 @@ inline RetryPolicy retry_policy_from_env() {
   if (env == nullptr) {
     return retry;
   }
-  detail::parse_kv_list(env, "HS_BENCH_RETRY",
-                        [&retry](const std::string& key, double value) {
+  parse_kv_list(env, "HS_BENCH_RETRY",
+                [&retry](const std::string& key, const std::string& text) {
+    const double value = kv_number("HS_BENCH_RETRY", key, text);
     if (key == "max_attempts") {
       retry.max_attempts = static_cast<int>(value);
     } else if (key == "base_backoff_s") {
@@ -110,56 +96,29 @@ inline RetryPolicy retry_policy_from_env() {
   return retry;
 }
 
-/// Deleter that folds the runtime's admission-path counters into the
-/// JSON report before teardown: every bench's BENCH_*.json carries
-/// dep_scan_steps / dep_index_hits / lock_shard_contention without
-/// per-bench plumbing (benches build runtimes only through
+/// Deleter that folds every runtime counter into the JSON report before
+/// teardown, so each bench's BENCH_*.json carries the whole counter
+/// table without per-bench plumbing (benches build runtimes only through
 /// sim_runtime(), and write_json() runs after the last one dies).
+/// Multi-tenant runs also get each tenant's slice as tenantN_<counter>
+/// (tenant-free benches register no tenants and emit nothing there).
 struct CountingRuntimeDeleter {
   void operator()(Runtime* rt) const {
     if (rt == nullptr) {
       return;
     }
-    const RuntimeStats s = rt->stats();
-    report::note_counter("dep_scan_steps", s.dep_scan_steps);
-    report::note_counter("dep_index_hits", s.dep_index_hits);
-    report::note_counter("lock_shard_contention", s.lock_shard_contention);
-    report::note_counter("bytes_transferred", s.bytes_transferred);
-    report::note_counter("transfers_elided", s.transfers_elided);
-    report::note_counter("bytes_elided", s.bytes_elided);
-    report::note_counter("transfer_chunks", s.transfer_chunks);
-    report::note_counter("pipeline_serial_us", s.pipeline_serial_us);
-    report::note_counter("pipeline_actual_us", s.pipeline_actual_us);
-    report::note_counter("checkpoints_taken", s.checkpoints_taken);
-    report::note_counter("checkpoint_bytes_written",
-                         s.checkpoint_bytes_written);
-    report::note_counter("checkpoint_bytes_skipped_clean",
-                         s.checkpoint_bytes_skipped_clean);
-    report::note_counter("restores_performed", s.restores_performed);
-    report::note_counter("evictions", s.evictions);
-    report::note_counter("spill_bytes_written", s.spill_bytes_written);
-    report::note_counter("spill_bytes_dropped_clean",
-                         s.spill_bytes_dropped_clean);
-    report::note_counter("refetches", s.refetches);
-    // Multi-tenant runs: fold each tenant's stats slice into the report
-    // so every bench JSON carries per-tenant attribution (tenant-free
-    // benches register no tenants and emit nothing here).
+    const RuntimeStats stats = rt->stats();
+    for_each_counter([&](const CounterInfo& c) {
+      report::note_counter(c.name, stats.*c.total);
+    });
     for (std::uint32_t t = 1; t <= rt->tenant_count(); ++t) {
       const TenantStatsSlice slice = rt->tenant_slice(t);
       const std::string prefix = "tenant" + std::to_string(t) + "_";
-      report::note_counter(prefix + "computes_enqueued",
-                           slice.computes_enqueued);
-      report::note_counter(prefix + "transfers_enqueued",
-                           slice.transfers_enqueued);
-      report::note_counter(prefix + "actions_completed",
-                           slice.actions_completed);
-      report::note_counter(prefix + "bytes_transferred",
-                           slice.bytes_transferred);
-      report::note_counter(prefix + "transfers_elided",
-                           slice.transfers_elided);
-      report::note_counter(prefix + "bytes_elided", slice.bytes_elided);
-      report::note_counter(prefix + "placements_steered",
-                           slice.placements_steered);
+      for_each_counter([&](const CounterInfo& c) {
+        if (c.slice != nullptr) {
+          report::note_counter(prefix + c.name, slice.*c.slice);
+        }
+      });
     }
     delete rt;
   }

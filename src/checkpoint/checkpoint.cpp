@@ -100,7 +100,7 @@ Status CheckpointManager::checkpoint(const GraphCursor& cursor) {
   StagedEpoch staged;
   staged.cursor = cursor;
   const bool incremental =
-      config_.incremental && runtime_.coherence_tracking();
+      config_.incremental && runtime_.config().coherence.track;
   std::vector<Tracked> tracked;
   {
     const std::scoped_lock lock(mu_);
@@ -196,7 +196,10 @@ Status CheckpointManager::persist(StagedEpoch epoch) {
       committed_chunks_ = std::move(manifest.chunks);
       last_epoch_ = epoch.epoch;
     }
-    runtime_.note_checkpoint(bytes_written, epoch.bytes_skipped);
+    runtime_.count(Counter::checkpoints_taken);
+    runtime_.count(Counter::checkpoint_bytes_written, bytes_written);
+    runtime_.count(Counter::checkpoint_bytes_skipped_clean,
+                   epoch.bytes_skipped);
     return Status::ok();
   } catch (const CrashError&) {
     // The simulated process death: record it (a poisoned manager's disk
@@ -319,7 +322,7 @@ Status CheckpointManager::restore(RestoreInfo& info) {
     actions_at_mark_ = runtime_.stats().actions_completed;
     time_at_mark_ = runtime_.now();
   }
-  runtime_.note_restore();
+  runtime_.count(Counter::restores_performed);
   info.epoch = manifest.epoch;
   info.actions_completed = manifest.actions_completed;
   info.checkpoint_time = manifest.time;

@@ -123,7 +123,7 @@ struct ActionRecord {
   /// edge set from the per-stream interval index (core/buffer.hpp) — it
   /// drops edges a path already implies, rebuilt unpruned when
   /// stream_cancel or domain loss completes actions early — and the
-  /// HS_DEP_ORACLE debug mode cross-checks the two on every admission.
+  /// The dep_oracle debug mode cross-checks the two on every admission.
   [[nodiscard]] bool conflicts_with(const ActionRecord& earlier) const {
     if (full_barrier || earlier.full_barrier) {
       return true;

@@ -560,7 +560,7 @@ struct Operand {
 // the legacy pairwise scan's, and every legacy blocker it omits reaches
 // a found blocker through the successor graph, so the transitive order —
 // reachability, longest paths, every schedule — is the scan's.
-// HS_DEP_ORACLE=1 checks both halves on every admission.
+// HS_CONFIG=dep_oracle=1 checks both halves on every admission.
 //
 // The one hazard is early completion: stream_cancel and
 // mark_domain_lost finish pending actions whose pruned predecessors may

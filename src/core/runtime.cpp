@@ -1,7 +1,6 @@
 #include "core/runtime.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <unordered_map>
 #include <unordered_set>
@@ -34,16 +33,10 @@ void reserve_pins(ActionRecord& record, DomainId domain) {
   }
 }
 
-bool env_flag(const char* name) {
-  const char* value = std::getenv(name);
-  return value != nullptr && value[0] != '\0' &&
-         !(value[0] == '0' && value[1] == '\0');
-}
-
 }  // namespace
 
 Runtime::Runtime(RuntimeConfig config, std::unique_ptr<Executor> executor)
-    : config_(std::move(config)),
+    : config_(with_hs_config(std::move(config))),
       executor_(std::move(executor)),
       topology_(make_topology(config_)),
       pool_(config_.transfer_pool_enabled),
@@ -64,14 +57,6 @@ Runtime::Runtime(RuntimeConfig config, std::unique_ptr<Executor> executor)
   health_.resize(domains_.size());
   next_transfer_seq_ =
       std::vector<std::atomic<std::uint64_t>>(domains_.size());
-  dep_legacy_ = config_.dep_legacy_scan || env_flag("HS_DEP_LEGACY");
-  dep_oracle_ = config_.dep_oracle || env_flag("HS_DEP_ORACLE");
-  coherence_track_ = config_.coherence.track && !env_flag("HS_COHERENCE_OFF");
-  coherence_elide_ = coherence_track_ && config_.coherence.elide &&
-                     !env_flag("HS_NO_ELIDE");
-  coherence_oracle_ = config_.coherence.oracle ||
-                      env_flag("HS_COHERENCE_ORACLE");
-  evict_enabled_ = config_.eviction && !env_flag("HS_NO_EVICT");
   executor_->attach(*this);
 }
 
@@ -95,7 +80,7 @@ void Runtime::lock_counted(std::mutex& m) const {
   if (m.try_lock()) {
     return;
   }
-  stats_.lock_shard_contention.fetch_add(1, std::memory_order_relaxed);
+  count(Counter::lock_shard_contention);
   m.lock();
 }
 
@@ -142,9 +127,9 @@ void Runtime::mark_domain_lost(DomainId id) {
       return;  // already declared; the loss is reported exactly once
     }
     domains_[id.value].mark_lost();
-    stats_.domains_lost.fetch_add(1, std::memory_order_relaxed);
+    count(Counter::domains_lost);
     if (!health_[id.value].degraded) {
-      stats_.links_degraded.fetch_add(1, std::memory_order_relaxed);
+      count(Counter::links_degraded);
     }
     health_[id.value].lose();
     push_pending_error(std::make_exception_ptr(
@@ -177,7 +162,7 @@ void Runtime::mark_domain_lost(DomainId id) {
           // Block the successor-unblocking path from dispatching it.
           rec->state = ActionRecord::State::dispatched;
         }
-        stats_.actions_failed.fetch_add(1, std::memory_order_relaxed);
+        count(Counter::actions_failed);
         victims.push_back(rec);
       }
       rebuild_dep_index(s);  // the stream_cancel rule, same critical section
@@ -447,7 +432,7 @@ void Runtime::govern_admit_locked(
           "buffer larger than the domain's entire memory budget",
           Errc::resource_exhausted);
   while (governor_.used(domain, kind) + bytes > budget_it->second) {
-    require(evict_enabled_, "domain memory budget exhausted",
+    require(config_.eviction, "domain memory budget exhausted",
             Errc::resource_exhausted);
     if (defer_pins != nullptr &&
         !governor_.pick_victim(domain, kind).has_value() &&
@@ -512,10 +497,9 @@ double Runtime::evict_one_locked(DomainId domain, MemKind kind) {
     }
   }
   governor_.release(domain, *victim);
-  stats_.evictions.fetch_add(1, std::memory_order_relaxed);
-  stats_.spill_bytes_written.fetch_add(written, std::memory_order_relaxed);
-  stats_.spill_bytes_dropped_clean.fetch_add(dropped,
-                                             std::memory_order_relaxed);
+  count(Counter::evictions);
+  count(Counter::spill_bytes_written, written);
+  count(Counter::spill_bytes_dropped_clean, dropped);
   log_debug("evicted buffer %u from domain %u (%zu dirty bytes home, %zu "
             "clean bytes dropped)",
             victim->value, domain.value, written, dropped);
@@ -643,7 +627,7 @@ void Runtime::prepare_residency(const std::shared_ptr<ActionRecord>& record) {
           throw;
         }
       }
-      stats_.refetches.fetch_add(1, std::memory_order_relaxed);
+      count(Counter::refetches);
     }
     // Demand re-fetch: restore the ranges this action reads that the
     // host has and the incarnation does not. Ranges the action only
@@ -838,7 +822,7 @@ std::size_t Runtime::stream_cancel(StreamId id) {
       if (undispatched) {
         rec->state = ActionRecord::State::dispatched;
       }
-      stats_.actions_cancelled.fetch_add(1, std::memory_order_relaxed);
+      count(Counter::actions_cancelled);
       victims.push_back(rec);
     }
     // Inside the claiming critical section: the victims finish after the
@@ -1094,21 +1078,15 @@ std::shared_ptr<EventState> Runtime::submit(
                                                     : 0);
   // One enqueue counter per action type, globally and in the tenant's
   // slice; allocs, waits and signals count as syncs.
-  auto global = &AtomicStats::syncs_enqueued;
-  auto tenant = &TenantCounters::syncs_enqueued;
+  Counter enqueued = Counter::syncs_enqueued;
   if (record->type == ActionType::compute) {
-    global = &AtomicStats::computes_enqueued;
-    tenant = &TenantCounters::computes_enqueued;
+    enqueued = Counter::computes_enqueued;
   } else if (record->type == ActionType::transfer) {
-    global = &AtomicStats::transfers_enqueued;
-    tenant = &TenantCounters::transfers_enqueued;
+    enqueued = Counter::transfers_enqueued;
   }
-  (stats_.*global).fetch_add(1, std::memory_order_relaxed);
-  if (TenantCounters* tc = slice_of(stream)) {
-    (tc->*tenant).fetch_add(1, std::memory_order_relaxed);
-  }
+  count(enqueued, 1, slice_of(stream));
   if (record->type == ActionType::transfer && stream.domain == kHostDomain) {
-    stats_.transfers_aliased_away.fetch_add(1, std::memory_order_relaxed);
+    count(Counter::transfers_aliased_away);
   }
   return admit(stream, std::move(record), deferred);
 }
@@ -1125,7 +1103,7 @@ void Runtime::dispatch_ready(
 std::vector<ActionId> Runtime::legacy_blockers(
     const StreamState& stream, const ActionRecord& record) const {
   // The pre-index pairwise scan: the oracle reference and the
-  // HS_DEP_LEGACY baseline. Window order == seq order == id order within
+  // dep_legacy_scan baseline. Window order == seq order == id order within
   // a stream, so the result is sorted by id. Cancelled actions have no
   // effects and finish without waiting, so nothing waits on them.
   std::vector<ActionId> out;
@@ -1137,8 +1115,7 @@ std::vector<ActionId> Runtime::legacy_blockers(
       out.push_back(earlier->id);
     }
   }
-  stats_.dep_scan_steps.fetch_add(stream.window.size(),
-                                  std::memory_order_relaxed);
+  count(Counter::dep_scan_steps, stream.window.size());
   return out;
 }
 
@@ -1153,8 +1130,7 @@ std::vector<ActionId> Runtime::indexed_blockers(const StreamState& stream,
         out.push_back(earlier->id);
       }
     }
-    stats_.dep_scan_steps.fetch_add(stream.window.size(),
-                                    std::memory_order_relaxed);
+    count(Counter::dep_scan_steps, stream.window.size());
   } else {
     // Live stream-wide barriers conflict with every later action but
     // carry no operands, so they ride alongside the byte-range index.
@@ -1163,17 +1139,17 @@ std::vector<ActionId> Runtime::indexed_blockers(const StreamState& stream,
     for (const Operand& op : record.operands) {
       steps += stream.index.collect(op, out);
     }
-    stats_.dep_scan_steps.fetch_add(steps, std::memory_order_relaxed);
+    count(Counter::dep_scan_steps, steps);
     // One edge per conflicting predecessor no matter how many operand
     // pairs overlap. Id order == admission order within a stream.
     if (out.size() > 1) {
       std::sort(out.begin(), out.end());
       out.erase(std::unique(out.begin(), out.end()), out.end());
     }
-    stats_.dep_index_hits.fetch_add(out.size(), std::memory_order_relaxed);
+    count(Counter::dep_index_hits, out.size());
   }
-  if (dep_oracle_) {
-    stats_.dep_oracle_checks.fetch_add(1, std::memory_order_relaxed);
+  if (config_.dep_oracle) {
+    count(Counter::dep_oracle_checks);
     const std::vector<ActionId> reference = legacy_blockers(stream, record);
     // Closure equivalence: every edge found is a scan edge, and every
     // scan edge left out is implied by a path to an edge found.
@@ -1191,7 +1167,7 @@ std::vector<ActionId> Runtime::indexed_blockers(const StreamState& stream,
                 subset ? "a scan blocker is not implied"
                        : "an index blocker is not a scan blocker");
       throw Error(Errc::internal,
-                  "dependence-index oracle mismatch (HS_DEP_ORACLE)");
+                  "dependence-index oracle mismatch (dep_oracle)");
     }
   }
   return out;
@@ -1239,7 +1215,7 @@ void Runtime::rebuild_dep_index(StreamState& stream) {
   // pruned may still run, so its index entries cannot simply be erased
   // later. Re-deriving the index from the live window, unpruned, keeps
   // every admission from here on exact; the victims drop out of it now.
-  if (dep_legacy_ || stream.policy == OrderPolicy::strict_fifo) {
+  if (config_.dep_legacy_scan || stream.policy == OrderPolicy::strict_fifo) {
     return;
   }
   stream.index.clear();
@@ -1294,11 +1270,11 @@ std::shared_ptr<EventState> Runtime::admit(
           break;
         }
       }
-      stats_.dep_scan_steps.fetch_add(steps, std::memory_order_relaxed);
+      count(Counter::dep_scan_steps, steps);
     } else {
       const std::vector<ActionId> blockers =
-          dep_legacy_ ? legacy_blockers(stream, *record)
-                      : indexed_blockers(stream, *record);
+          config_.dep_legacy_scan ? legacy_blockers(stream, *record)
+                                  : indexed_blockers(stream, *record);
       for (const ActionId pred : blockers) {
         DepState* pd = dep_find(pred);
         require(pd != nullptr, "missing predecessor dep entry",
@@ -1306,19 +1282,19 @@ std::shared_ptr<EventState> Runtime::admit(
         pd->successors.push_back(record->id);
       }
       dep.blockers = blockers.size();
-      if (!dep_legacy_) {
+      if (!config_.dep_legacy_scan) {
         index_insert(stream, *record, blockers);
       }
     }
     if (record->graph != 0) {
-      stats_.deps_reused.fetch_add(dep.blockers, std::memory_order_relaxed);
+      count(Counter::deps_reused, dep.blockers);
     }
 
     stream.window.push_back(record);
     if (dep.blockers == 0) {
       record->state = ActionRecord::State::dispatched;
       if (record != stream.window.front()) {
-        stats_.ooo_dispatches.fetch_add(1, std::memory_order_relaxed);
+        count(Counter::ooo_dispatches);
       }
       ready = true;
     }
@@ -1385,16 +1361,8 @@ void Runtime::set_capture(CaptureSink* sink) {
 }
 
 std::uint32_t Runtime::note_graph_captured() {
-  stats_.graphs_captured.fetch_add(1, std::memory_order_relaxed);
+  count(Counter::graphs_captured);
   return next_graph_id_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Runtime::note_transfers_coalesced(std::uint64_t count) {
-  stats_.transfers_coalesced.fetch_add(count, std::memory_order_relaxed);
-}
-
-void Runtime::note_graph_replay() {
-  stats_.graph_replays.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Runtime::dispatch(const std::shared_ptr<ActionRecord>& record) {
@@ -1480,7 +1448,7 @@ void Runtime::dispatch(const std::shared_ptr<ActionRecord>& record) {
 }
 
 bool Runtime::try_elide(const std::shared_ptr<ActionRecord>& record) {
-  if (!coherence_elide_ || record->type != ActionType::transfer) {
+  if (!config_.coherence.elide || record->type != ActionType::transfer) {
     return false;
   }
   const StreamState& estream = stream_state(record->stream);
@@ -1508,8 +1476,8 @@ bool Runtime::try_elide(const std::shared_ptr<ActionRecord>& record) {
        !buf->valid_over(t.peer, t.offset, t.length))) {
     return false;
   }
-  if (coherence_oracle_ && executor_->executes_payloads()) {
-    stats_.coherence_oracle_checks.fetch_add(1, std::memory_order_relaxed);
+  if (config_.coherence.oracle && executor_->executes_payloads()) {
+    count(Counter::coherence_oracle_checks);
     const std::byte* host = buf->local_address(kHostDomain, t.offset);
     const std::byte* dev = buf->local_address(sink, t.offset);
     bool match = std::memcmp(host, dev, t.length) == 0;
@@ -1522,7 +1490,7 @@ bool Runtime::try_elide(const std::shared_ptr<ActionRecord>& record) {
                 "%zu len %zu) would have changed bytes",
                 record->id.value, t.buffer.value, t.offset, t.length);
       throw Error(Errc::internal,
-                  "transfer-elision oracle mismatch (HS_COHERENCE_ORACLE): "
+                  "transfer-elision oracle mismatch (coherence.oracle): "
                   "an incarnation marked valid holds different bytes — "
                   "likely an untracked host write (see "
                   "Runtime::note_host_write)");
@@ -1531,12 +1499,9 @@ bool Runtime::try_elide(const std::shared_ptr<ActionRecord>& record) {
   record->elided = true;
   const std::uint64_t moved =
       t.peer != kHostDomain ? 2 * t.length : t.length;
-  stats_.transfers_elided.fetch_add(1, std::memory_order_relaxed);
-  stats_.bytes_elided.fetch_add(moved, std::memory_order_relaxed);
-  if (TenantCounters* tc = slice_of(estream)) {
-    tc->transfers_elided.fetch_add(1, std::memory_order_relaxed);
-    tc->bytes_elided.fetch_add(moved, std::memory_order_relaxed);
-  }
+  CounterArray* slice = slice_of(estream);
+  count(Counter::transfers_elided, 1, slice);
+  count(Counter::bytes_elided, moved, slice);
   return true;
 }
 
@@ -1656,12 +1621,9 @@ void Runtime::process_completion(const std::shared_ptr<ActionRecord>& record) {
     // claimed (stream_cancel / mark_domain_lost / fail_action); counting
     // them here again would break the completed+failed+cancelled ==
     // enqueued invariant the loss-stress tests pin down.
-    TenantCounters* tc = slice_of(stream);
+    CounterArray* slice = slice_of(stream);
     if (!rec.cancelled && !rec.failed) {
-      stats_.actions_completed.fetch_add(1, std::memory_order_relaxed);
-      if (tc != nullptr) {
-        tc->actions_completed.fetch_add(1, std::memory_order_relaxed);
-      }
+      count(Counter::actions_completed, 1, slice);
     }
     const DomainId completion_domain = stream.domain;
     if (rec.type == ActionType::transfer && !rec.cancelled && !rec.elided &&
@@ -1670,10 +1632,7 @@ void Runtime::process_completion(const std::shared_ptr<ActionRecord>& record) {
       const std::uint64_t moved = rec.transfer.peer != kHostDomain
                                       ? 2 * rec.transfer.length
                                       : rec.transfer.length;
-      stats_.bytes_transferred.fetch_add(moved, std::memory_order_relaxed);
-      if (tc != nullptr) {
-        tc->bytes_transferred.fetch_add(moved, std::memory_order_relaxed);
-      }
+      count(Counter::bytes_transferred, moved, slice);
     }
     // Coherence bookkeeping (see Buffer): a compute that ran to
     // completion validates the ranges it wrote in its own domain and
@@ -1684,7 +1643,7 @@ void Runtime::process_completion(const std::shared_ptr<ActionRecord>& record) {
     // transfers moved nothing and change nothing (both ends were already
     // valid). Dirty ranges — the evacuate contract — derive from the
     // same intervals as valid(device) - valid(host).
-    if (coherence_track_ && !rec.cancelled) {
+    if (config_.coherence.track && !rec.cancelled) {
       std::shared_lock buffers(buffers_mutex_);
       try {
         if (rec.type == ActionType::compute) {
@@ -1725,7 +1684,7 @@ void Runtime::process_completion(const std::shared_ptr<ActionRecord>& record) {
     // Retire the action from the dependence index before unblocking
     // successors (they recompute nothing, but the invariant "the index
     // holds exactly the incomplete window" keeps later admissions exact).
-    if (!dep_legacy_ && stream.policy != OrderPolicy::strict_fifo) {
+    if (!config_.dep_legacy_scan && stream.policy != OrderPolicy::strict_fifo) {
       for (const Operand& op : rec.operands) {
         stream.index.erase(op, id);
       }
@@ -1754,7 +1713,7 @@ void Runtime::process_completion(const std::shared_ptr<ActionRecord>& record) {
         succ->record->state = ActionRecord::State::dispatched;
         if (!succ->stream->window.empty() &&
             succ->record != succ->stream->window.front()) {
-          stats_.ooo_dispatches.fetch_add(1, std::memory_order_relaxed);
+          count(Counter::ooo_dispatches);
         }
         ready.push_back(succ->record);
       }
@@ -1825,7 +1784,7 @@ void Runtime::fail_action(ActionId id, std::exception_ptr error) {
     record->claimed = true;
     record->failed = true;
   }
-  stats_.actions_failed.fetch_add(1, std::memory_order_relaxed);
+  count(Counter::actions_failed);
   {
     const std::scoped_lock lock(mutex_);
     push_pending_error(std::move(error));
@@ -1997,16 +1956,16 @@ FaultDecision Runtime::next_transfer_fault(DomainId domain,
         health_sample(domain, 1.0);
         break;
       case FaultKind::transient_error:
-        stats_.faults_injected.fetch_add(1, std::memory_order_relaxed);
+        count(Counter::faults_injected);
         health_sample(domain, 0.0);
         break;
       case FaultKind::link_stall:
-        stats_.faults_injected.fetch_add(1, std::memory_order_relaxed);
+        count(Counter::faults_injected);
         ++health_[domain.value].stalls;
         health_sample(domain, 0.5);  // succeeded, but late
         break;
       case FaultKind::device_loss:
-        stats_.faults_injected.fetch_add(1, std::memory_order_relaxed);
+        count(Counter::faults_injected);
         // mark_domain_lost (which the executor calls next) pins the
         // health at zero; nothing to sample here.
         break;
@@ -2017,31 +1976,20 @@ FaultDecision Runtime::next_transfer_fault(DomainId domain,
 
 void Runtime::note_transfer_retry(DomainId domain) {
   const std::scoped_lock lock(mutex_);
-  stats_.transfers_retried.fetch_add(1, std::memory_order_relaxed);
+  count(Counter::transfers_retried);
   ++health_[domain.value].retries;
-}
-
-void Runtime::note_partial_recovery(std::uint64_t reexecuted) {
-  stats_.partial_recoveries.fetch_add(1, std::memory_order_relaxed);
-  stats_.actions_reexecuted.fetch_add(reexecuted, std::memory_order_relaxed);
-}
-
-void Runtime::note_transfer_chunks(std::uint64_t count) {
-  stats_.transfer_chunks.fetch_add(count, std::memory_order_relaxed);
 }
 
 void Runtime::note_pipeline_span(double serial_s, double actual_s) {
   const auto us = [](double s) {
     return static_cast<std::uint64_t>(std::max(0.0, s) * 1e6);
   };
-  stats_.pipeline_serial_us.fetch_add(us(serial_s),
-                                      std::memory_order_relaxed);
-  stats_.pipeline_actual_us.fetch_add(us(actual_s),
-                                      std::memory_order_relaxed);
+  count(Counter::pipeline_serial_us, us(serial_s));
+  count(Counter::pipeline_actual_us, us(actual_s));
 }
 
 void Runtime::note_host_write(const void* proxy, std::size_t len) {
-  if (!coherence_track_ || len == 0) {
+  if (!config_.coherence.track || len == 0) {
     return;
   }
   std::shared_lock buffers(buffers_mutex_);
@@ -2123,22 +2071,9 @@ void Runtime::mark_ckpt_dirty(BufferId id, std::size_t offset,
   buffers_.get(id).mark_ckpt_dirty(offset, len);
 }
 
-void Runtime::note_checkpoint(std::uint64_t bytes_written,
-                              std::uint64_t bytes_skipped) {
-  stats_.checkpoints_taken.fetch_add(1, std::memory_order_relaxed);
-  stats_.checkpoint_bytes_written.fetch_add(bytes_written,
-                                            std::memory_order_relaxed);
-  stats_.checkpoint_bytes_skipped_clean.fetch_add(bytes_skipped,
-                                                  std::memory_order_relaxed);
-}
-
-void Runtime::note_restore() {
-  stats_.restores_performed.fetch_add(1, std::memory_order_relaxed);
-}
-
 void Runtime::health_sample(DomainId id, double outcome) {
   if (health_[id.value].sample(outcome, config_.health)) {
-    stats_.links_degraded.fetch_add(1, std::memory_order_relaxed);
+    count(Counter::links_degraded);
     log_error("link to domain %u degraded (health %.3f); steering new work "
               "away", id.value, health_[id.value].score);
   }
@@ -2168,7 +2103,7 @@ DomainId Runtime::pick_healthy(std::span<const DomainId> candidates) {
     }
     if (!health_[c.value].degraded) {
       if (c != preferred) {
-        stats_.placements_steered.fetch_add(1, std::memory_order_relaxed);
+        count(Counter::placements_steered);
       }
       return c;
     }
@@ -2178,7 +2113,7 @@ DomainId Runtime::pick_healthy(std::span<const DomainId> candidates) {
   }
   if (fallback != nullptr) {
     if (*fallback != preferred) {
-      stats_.placements_steered.fetch_add(1, std::memory_order_relaxed);
+      count(Counter::placements_steered);
     }
     return *fallback;
   }
@@ -2202,34 +2137,21 @@ TenantStatsSlice Runtime::tenant_slice(std::uint32_t tenant) const {
   const std::shared_lock lock(tenants_mutex_);
   require(tenant >= 1 && tenant <= tenant_slices_.size(),
           "unknown tenant id", Errc::not_found);
-  const TenantCounters& c = tenant_slices_[tenant - 1];
-  const auto get = [](const std::atomic<std::uint64_t>& v) {
-    return v.load(std::memory_order_relaxed);
-  };
+  const CounterArray& slice = tenant_slices_[tenant - 1];
   TenantStatsSlice out;
-  out.computes_enqueued = get(c.computes_enqueued);
-  out.transfers_enqueued = get(c.transfers_enqueued);
-  out.syncs_enqueued = get(c.syncs_enqueued);
-  out.actions_completed = get(c.actions_completed);
-  out.bytes_transferred = get(c.bytes_transferred);
-  out.transfers_elided = get(c.transfers_elided);
-  out.bytes_elided = get(c.bytes_elided);
-  out.placements_steered = get(c.placements_steered);
+  for_each_counter([&](const CounterInfo& c) {
+    if (c.slice != nullptr) {
+      out.*c.slice = slice[static_cast<std::size_t>(c.id)].load(
+          std::memory_order_relaxed);
+    }
+  });
   return out;
-}
-
-void Runtime::note_tenant_placement(std::uint32_t tenant) {
-  const std::shared_lock lock(tenants_mutex_);
-  require(tenant >= 1 && tenant <= tenant_slices_.size(),
-          "unknown tenant id", Errc::not_found);
-  tenant_slices_[tenant - 1].placements_steered.fetch_add(
-      1, std::memory_order_relaxed);
 }
 
 void Runtime::stream_bind_tenant(StreamId stream, std::uint32_t tenant,
                                  std::uint32_t session) {
   StreamState& s = stream_state(stream);
-  TenantCounters* slice = nullptr;
+  CounterArray* slice = nullptr;
   if (tenant != 0) {
     const std::shared_lock lock(tenants_mutex_);
     require(tenant <= tenant_slices_.size(), "unknown tenant id",
@@ -2261,48 +2183,10 @@ void Runtime::tag_and_gate(const StreamState& stream, ActionRecord& record,
 
 RuntimeStats Runtime::stats() const {
   RuntimeStats out;
-  const auto get = [](const std::atomic<std::uint64_t>& a) {
-    return a.load(std::memory_order_relaxed);
-  };
-  out.computes_enqueued = get(stats_.computes_enqueued);
-  out.transfers_enqueued = get(stats_.transfers_enqueued);
-  out.syncs_enqueued = get(stats_.syncs_enqueued);
-  out.actions_completed = get(stats_.actions_completed);
-  out.actions_failed = get(stats_.actions_failed);
-  out.transfers_aliased_away = get(stats_.transfers_aliased_away);
-  out.bytes_transferred = get(stats_.bytes_transferred);
-  out.ooo_dispatches = get(stats_.ooo_dispatches);
-  out.faults_injected = get(stats_.faults_injected);
-  out.transfers_retried = get(stats_.transfers_retried);
-  out.actions_cancelled = get(stats_.actions_cancelled);
-  out.domains_lost = get(stats_.domains_lost);
-  out.graphs_captured = get(stats_.graphs_captured);
-  out.graph_replays = get(stats_.graph_replays);
-  out.deps_reused = get(stats_.deps_reused);
-  out.transfers_coalesced = get(stats_.transfers_coalesced);
-  out.links_degraded = get(stats_.links_degraded);
-  out.placements_steered = get(stats_.placements_steered);
-  out.partial_recoveries = get(stats_.partial_recoveries);
-  out.actions_reexecuted = get(stats_.actions_reexecuted);
-  out.dep_index_hits = get(stats_.dep_index_hits);
-  out.dep_scan_steps = get(stats_.dep_scan_steps);
-  out.lock_shard_contention = get(stats_.lock_shard_contention);
-  out.dep_oracle_checks = get(stats_.dep_oracle_checks);
-  out.transfers_elided = get(stats_.transfers_elided);
-  out.bytes_elided = get(stats_.bytes_elided);
-  out.transfer_chunks = get(stats_.transfer_chunks);
-  out.pipeline_serial_us = get(stats_.pipeline_serial_us);
-  out.pipeline_actual_us = get(stats_.pipeline_actual_us);
-  out.coherence_oracle_checks = get(stats_.coherence_oracle_checks);
-  out.checkpoints_taken = get(stats_.checkpoints_taken);
-  out.checkpoint_bytes_written = get(stats_.checkpoint_bytes_written);
-  out.checkpoint_bytes_skipped_clean =
-      get(stats_.checkpoint_bytes_skipped_clean);
-  out.restores_performed = get(stats_.restores_performed);
-  out.evictions = get(stats_.evictions);
-  out.spill_bytes_written = get(stats_.spill_bytes_written);
-  out.spill_bytes_dropped_clean = get(stats_.spill_bytes_dropped_clean);
-  out.refetches = get(stats_.refetches);
+  for_each_counter([&](const CounterInfo& c) {
+    out.*c.total =
+        stats_[static_cast<std::size_t>(c.id)].load(std::memory_order_relaxed);
+  });
   return out;
 }
 

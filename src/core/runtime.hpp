@@ -33,10 +33,12 @@
 #include <optional>
 #include <shared_mutex>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/action.hpp"
 #include "core/buffer.hpp"
+#include "core/counters.hpp"
 #include "core/domain.hpp"
 #include "core/executor.hpp"
 #include "core/memory_governor.hpp"
@@ -63,108 +65,19 @@ struct OperandRef {
   Access access = Access::in;
 };
 
-/// Counters exposed for the overhead bench and tests.
-struct RuntimeStats {
-  std::uint64_t computes_enqueued = 0;
-  std::uint64_t transfers_enqueued = 0;
-  std::uint64_t syncs_enqueued = 0;
-  std::uint64_t actions_completed = 0;
-  std::uint64_t actions_failed = 0;  ///< task bodies that threw
-  std::uint64_t transfers_aliased_away = 0;  ///< host-as-target no-ops
-  std::uint64_t bytes_transferred = 0;
-  std::uint64_t ooo_dispatches = 0;  ///< actions dispatched past an earlier
-                                     ///< incomplete action (relaxed only)
-  std::uint64_t faults_injected = 0;    ///< interconnect faults delivered
-  std::uint64_t transfers_retried = 0;  ///< backoff retries after transients
-  std::uint64_t actions_cancelled = 0;  ///< drained by stream_cancel
-  std::uint64_t domains_lost = 0;       ///< devices declared dead
-  std::uint64_t graphs_captured = 0;    ///< task graphs recorded (graph/)
-  std::uint64_t graph_replays = 0;      ///< graph launches (GraphExec)
-  std::uint64_t deps_reused = 0;  ///< dependence edges wired at admission
-                                  ///< into replayed (graph id != 0)
-                                  ///< actions
-  std::uint64_t transfers_coalesced = 0;  ///< transfer nodes merged/dropped
-                                          ///< by graph passes
-  std::uint64_t links_degraded = 0;    ///< links that crossed into degraded
-  std::uint64_t placements_steered = 0;  ///< pick_healthy calls that avoided
-                                         ///< a degraded (or dead) choice
-  std::uint64_t partial_recoveries = 0;  ///< graph-based subset re-launches
-  std::uint64_t actions_reexecuted = 0;  ///< actions re-admitted by recovery
-  std::uint64_t dep_index_hits = 0;   ///< dependence edges found via the
-                                      ///< per-buffer interval index
-  std::uint64_t dep_scan_steps = 0;   ///< elementary dependence-analysis
-                                      ///< steps: index segments/entries
-                                      ///< visited plus window entries
-                                      ///< scanned on legacy/strict/barrier
-                                      ///< paths
-  std::uint64_t lock_shard_contention = 0;  ///< contended acquisitions of a
-                                            ///< stream or dep-shard lock
-  std::uint64_t dep_oracle_checks = 0;  ///< admissions cross-checked against
-                                        ///< the legacy pairwise scan
-  std::uint64_t transfers_elided = 0;  ///< transfers completed as no-ops:
-                                       ///< destination range already valid
-  std::uint64_t bytes_elided = 0;      ///< bytes those no-ops did not move
-  std::uint64_t transfer_chunks = 0;   ///< chunks of pipelined multi-hop
-                                       ///< transfers submitted by executors
-  std::uint64_t pipeline_serial_us = 0;  ///< modeled serial (unchunked
-                                         ///< two-hop) micros of pipelined
-                                         ///< transfers
-  std::uint64_t pipeline_actual_us = 0;  ///< observed micros of the same
-                                         ///< transfers; serial/actual is
-                                         ///< the hop-overlap ratio
-  std::uint64_t coherence_oracle_checks = 0;  ///< elisions cross-checked
-                                              ///< byte-for-byte
-                                              ///< (HS_COHERENCE_ORACLE)
-  std::uint64_t checkpoints_taken = 0;   ///< durable epochs committed
-  std::uint64_t checkpoint_bytes_written = 0;  ///< chunk payload bytes
-                                               ///< persisted across epochs
-  std::uint64_t checkpoint_bytes_skipped_clean = 0;  ///< bytes the validity
-                                                     ///< maps proved unchanged
-                                                     ///< since the last epoch
-  std::uint64_t restores_performed = 0;  ///< restore_from_checkpoint calls
-                                         ///< that rebound buffer contents
-  std::uint64_t evictions = 0;  ///< incarnations spilled by the memory
-                                ///< governor to make room under a budget
-  std::uint64_t spill_bytes_written = 0;  ///< dirty bytes synced home by
-                                          ///< evictions (validity-map
-                                          ///< minimized writeback)
-  std::uint64_t spill_bytes_dropped_clean = 0;  ///< valid-but-clean bytes
-                                                ///< evictions dropped without
-                                                ///< any copy
-  std::uint64_t refetches = 0;  ///< spilled incarnations re-admitted on
-                                ///< demand at dispatch (read ranges
-                                ///< re-uploaded from the home copy)
-};
-
-/// Per-tenant slice of the runtime counters (service mode). Counted at
-/// exactly the same sites as the matching RuntimeStats fields whenever
-/// the enqueuing stream carries a tenant binding, so for a run where
-/// every stream is bound, sum-of-slices == the global totals.
-struct TenantStatsSlice {
-  std::uint64_t computes_enqueued = 0;
-  std::uint64_t transfers_enqueued = 0;
-  std::uint64_t syncs_enqueued = 0;
-  std::uint64_t actions_completed = 0;
-  std::uint64_t bytes_transferred = 0;
-  std::uint64_t transfers_elided = 0;
-  std::uint64_t bytes_elided = 0;
-  std::uint64_t placements_steered = 0;  ///< counted by the service layer
-                                         ///< (stream placement decisions)
-};
-
 /// Byte-range coherence knobs: validity tracking, online transfer
 /// elision, and the chunked multi-hop transfer pipeline.
 struct CoherenceConfig {
   /// Maintain per-incarnation validity interval maps (Buffer). The
   /// substrate for elision and derived dirty ranges; cheap, on by
-  /// default. Env: HS_COHERENCE_OFF=1 disables tracking AND elision.
+  /// default. Off also turns elision off. HS_CONFIG key coherence.track.
   bool track = true;
   /// Complete transfers whose destination range is already byte-identical
-  /// to the source as zero-cost no-ops. Env: HS_NO_ELIDE=1 disables.
+  /// to the source as zero-cost no-ops. HS_CONFIG key coherence.elide.
   bool elide = true;
   /// Debug oracle: memcmp source vs destination on every elision (when
   /// the executor executes payloads) and throw Errc::internal on any
-  /// mismatch. Env: HS_COHERENCE_ORACLE=1.
+  /// mismatch. HS_CONFIG key coherence.oracle.
   bool oracle = false;
   /// Device->device transfers longer than this are split into chunks so
   /// the device->host and host->device hops overlap.
@@ -173,7 +86,9 @@ struct CoherenceConfig {
   std::size_t pipeline_chunk = 2u << 20;
 };
 
-/// Construction-time configuration.
+/// Construction-time configuration. The Runtime constructor applies
+/// $HS_CONFIG on top, so Runtime::config() is the configuration the
+/// runtime actually runs with.
 struct RuntimeConfig {
   PlatformDesc platform = PlatformDesc::host_only();
   OrderPolicy policy = OrderPolicy::relaxed_fifo;
@@ -196,13 +111,13 @@ struct RuntimeConfig {
   /// Use the pre-index pairwise window scan for dependence analysis
   /// instead of the per-buffer interval index (DESIGN.md "Scalable
   /// admission path"). Kept as the reference implementation and the
-  /// honest baseline for bench_enqueue_scale. Env: HS_DEP_LEGACY=1.
+  /// honest baseline for bench_enqueue_scale. HS_CONFIG key dep_legacy_scan.
   bool dep_legacy_scan = false;
   /// Debug oracle: run the index *and* the legacy scan on every relaxed
   /// admission and throw Errc::internal unless the index's blockers are
   /// closure-equivalent to the scan's: each one is a scan blocker, and
   /// each scan blocker reaches one through the successor graph.
-  /// Env: HS_DEP_ORACLE=1.
+  /// HS_CONFIG key dep_oracle.
   bool dep_oracle = false;
   /// Byte-range coherence: validity tracking, transfer elision, chunked
   /// multi-hop pipeline (see CoherenceConfig).
@@ -211,10 +126,16 @@ struct RuntimeConfig {
   /// memory budget, evict idle (unpinned) incarnations — dirty ranges sync
   /// home, clean ranges drop free — instead of throwing
   /// Errc::resource_exhausted. Spilled operands are transparently
-  /// re-admitted and re-uploaded at dispatch. Env: HS_NO_EVICT=1 restores
-  /// the old throw-on-exhaustion behavior.
+  /// re-admitted and re-uploaded at dispatch. HS_CONFIG key eviction;
+  /// eviction=0 restores the old throw-on-exhaustion behavior.
   bool eviction = true;
 };
+
+/// `config`'s switches as the HS_CONFIG value that sets them all:
+/// "dep_legacy_scan=0,dep_oracle=0,coherence.track=1,...". HS_CONFIG takes
+/// any subset of these keys, each 0 or 1, and overrides the field of the
+/// same name.
+[[nodiscard]] std::string hs_config_string(const RuntimeConfig& config);
 
 /// Where enqueues go during graph capture: instead of being admitted into
 /// a stream window and executed, fully-formed records on captured streams
@@ -277,12 +198,15 @@ class AdmissionHook {
 
 class Runtime {
  public:
+  /// Applies $HS_CONFIG to `config` before anything else (see
+  /// with_hs_config; a malformed value throws Errc::invalid_argument).
   Runtime(RuntimeConfig config, std::unique_ptr<Executor> executor);
   ~Runtime();
 
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
 
+  /// The configuration in effect, $HS_CONFIG included.
   [[nodiscard]] const RuntimeConfig& config() const noexcept {
     return config_;
   }
@@ -483,16 +407,9 @@ class Runtime {
   /// Dispatches records a series of submit calls held back.
   void dispatch_ready(std::span<const std::shared_ptr<ActionRecord>> ready);
 
-  /// Counts one graph launch (graph/replay.cpp).
-  void note_graph_replay();
-
   /// Counts one finished capture and hands out the graph's id (ids start
   /// at 1; 0 marks eager actions).
   [[nodiscard]] std::uint32_t note_graph_captured();
-
-  /// Counts transfer nodes eliminated by graph passes (coalesced into a
-  /// neighbour or dropped as provably redundant).
-  void note_transfers_coalesced(std::uint64_t count);
 
   // --- Synchronization (host side) ----------------------------------------
   void stream_synchronize(StreamId stream);
@@ -537,11 +454,6 @@ class Runtime {
   /// checkpoint/checkpoint.cpp.
   Status restore_from_checkpoint(ckpt::CheckpointManager& manager,
                                  ckpt::RestoreInfo* info = nullptr);
-  /// Counts one committed epoch: `bytes_written` chunk payload bytes
-  /// persisted, `bytes_skipped` proven clean and skipped.
-  void note_checkpoint(std::uint64_t bytes_written, std::uint64_t bytes_skipped);
-  /// Counts one completed restore.
-  void note_restore();
 
   // --- Multi-tenant service mode (service/) --------------------------------
   /// Registers a tenant counter slice and returns its id (ids start at
@@ -551,8 +463,6 @@ class Runtime {
   [[nodiscard]] std::size_t tenant_count() const;
   /// Snapshot of one tenant's counter slice.
   [[nodiscard]] TenantStatsSlice tenant_slice(std::uint32_t tenant) const;
-  /// Counts a service-layer placement decision into `tenant`'s slice.
-  void note_tenant_placement(std::uint32_t tenant);
   /// Binds `stream` to (`tenant`, `session`): subsequent enqueues are
   /// stamped with the ids, counted into the tenant's slice, and gated by
   /// the admission hook. Bind before enqueuing (the binding is read
@@ -570,6 +480,13 @@ class Runtime {
 
   // --- Introspection -------------------------------------------------------
   [[nodiscard]] RuntimeStats stats() const;
+  /// Adds `n` to counter `c` (relaxed, lock-free). Other modules count
+  /// the events they own through it: graph passes and replays,
+  /// checkpoints, executors' transfer chunks.
+  void count(Counter c, std::uint64_t n = 1) const {
+    stats_[static_cast<std::size_t>(c)].fetch_add(n,
+                                                  std::memory_order_relaxed);
+  }
   [[nodiscard]] double now() const { return executor_->now(); }
   /// Attaches an execution-trace recorder (nullptr detaches). The caller
   /// keeps ownership; the recorder must outlive all runtime activity.
@@ -609,26 +526,10 @@ class Runtime {
   /// Counts one backoff retry of a transient transfer failure on the
   /// link to `domain`.
   void note_transfer_retry(DomainId domain);
-  /// Counts `count` chunks of a pipelined multi-hop transfer submitted
-  /// by an executor.
-  void note_transfer_chunks(std::uint64_t count);
   /// Records one pipelined transfer's modeled serial two-hop duration
   /// vs. its observed duration (both in seconds; accumulated as micros —
   /// the pipeline overlap ratio is serial/actual at report time).
   void note_pipeline_span(double serial_s, double actual_s);
-  /// Resolved coherence settings (config ∪ env overrides).
-  [[nodiscard]] bool coherence_tracking() const noexcept {
-    return coherence_track_;
-  }
-  [[nodiscard]] bool coherence_eliding() const noexcept {
-    return coherence_elide_;
-  }
-  [[nodiscard]] bool coherence_oracle() const noexcept {
-    return coherence_oracle_;
-  }
-  /// Counts one graph-based partial recovery that re-admitted
-  /// `reexecuted` actions (graph/replay.cpp).
-  void note_partial_recovery(std::uint64_t reexecuted);
   [[nodiscard]] const RetryPolicy& retry_policy() const noexcept {
     return config_.retry;
   }
@@ -644,20 +545,6 @@ class Runtime {
   }
 
  private:
-  /// Atomic mirror of TenantStatsSlice (same fields, same counting
-  /// sites as AtomicStats): one per registered tenant, pointer-stable in
-  /// tenant_slices_, bumped lock-free through StreamState::slice.
-  struct TenantCounters {
-    std::atomic<std::uint64_t> computes_enqueued{0};
-    std::atomic<std::uint64_t> transfers_enqueued{0};
-    std::atomic<std::uint64_t> syncs_enqueued{0};
-    std::atomic<std::uint64_t> actions_completed{0};
-    std::atomic<std::uint64_t> bytes_transferred{0};
-    std::atomic<std::uint64_t> transfers_elided{0};
-    std::atomic<std::uint64_t> bytes_elided{0};
-    std::atomic<std::uint64_t> placements_steered{0};
-  };
-
   /// Per-stream admission state. `mu` serializes admissions into and
   /// completions out of this one stream; enqueues on different streams
   /// do not contend. Lock order: below streams_mutex_, above the dep
@@ -686,7 +573,7 @@ class Runtime {
     /// bump per-tenant counters without any tenant-table lock.
     std::atomic<std::uint32_t> tenant{0};
     std::atomic<std::uint32_t> session{0};
-    std::atomic<TenantCounters*> slice{nullptr};
+    std::atomic<CounterArray*> slice{nullptr};
   };
 
   // Dependence bookkeeping attached per action, keyed by id. The owning
@@ -724,6 +611,13 @@ class Runtime {
   /// valid while the caller holds the action's stream lock (which blocks
   /// the only erasure path).
   [[nodiscard]] DepState* dep_find(ActionId id);
+
+  /// `config` with $HS_CONFIG (see hs_config_string) applied. An unknown
+  /// key, a value other than 0 or 1, or an item with no '=' throws
+  /// Errc::invalid_argument naming the item. coherence.track=0 also turns
+  /// coherence.elide off: elision needs validity tracking. Defined in
+  /// config.cpp.
+  static RuntimeConfig with_hs_config(RuntimeConfig config);
 
   /// The shared tail of every enqueue front end and of the public
   /// submit, for callers that already looked the stream up and checked
@@ -790,8 +684,18 @@ class Runtime {
 
   /// The per-tenant counter slice for `stream`'s binding (nullptr when
   /// unbound). Lock-free.
-  [[nodiscard]] TenantCounters* slice_of(const StreamState& stream) const {
+  [[nodiscard]] CounterArray* slice_of(const StreamState& stream) const {
     return stream.slice.load(std::memory_order_acquire);
+  }
+
+  /// Adds `n` to tenant-scoped counter `c` and, when `slice` (the
+  /// enqueuing stream's slice_of) is set, to the same row of the slice.
+  void count(Counter c, std::uint64_t n, CounterArray* slice) const {
+    count(c, n);
+    if (slice != nullptr) {
+      (*slice)[static_cast<std::size_t>(c)].fetch_add(
+          n, std::memory_order_relaxed);
+    }
   }
 
   /// Hands a ready action to the executor (no lock held).
@@ -883,49 +787,6 @@ class Runtime {
   /// or budget capacity frees (completion, deinstantiate, destroy).
   void retry_deferred();
 
-  /// Mirrors RuntimeStats as relaxed atomics so hot paths never take a
-  /// lock to count. stats() snapshots it.
-  struct AtomicStats {
-    std::atomic<std::uint64_t> computes_enqueued{0};
-    std::atomic<std::uint64_t> transfers_enqueued{0};
-    std::atomic<std::uint64_t> syncs_enqueued{0};
-    std::atomic<std::uint64_t> actions_completed{0};
-    std::atomic<std::uint64_t> actions_failed{0};
-    std::atomic<std::uint64_t> transfers_aliased_away{0};
-    std::atomic<std::uint64_t> bytes_transferred{0};
-    std::atomic<std::uint64_t> ooo_dispatches{0};
-    std::atomic<std::uint64_t> faults_injected{0};
-    std::atomic<std::uint64_t> transfers_retried{0};
-    std::atomic<std::uint64_t> actions_cancelled{0};
-    std::atomic<std::uint64_t> domains_lost{0};
-    std::atomic<std::uint64_t> graphs_captured{0};
-    std::atomic<std::uint64_t> graph_replays{0};
-    std::atomic<std::uint64_t> deps_reused{0};
-    std::atomic<std::uint64_t> transfers_coalesced{0};
-    std::atomic<std::uint64_t> links_degraded{0};
-    std::atomic<std::uint64_t> placements_steered{0};
-    std::atomic<std::uint64_t> partial_recoveries{0};
-    std::atomic<std::uint64_t> actions_reexecuted{0};
-    std::atomic<std::uint64_t> dep_index_hits{0};
-    std::atomic<std::uint64_t> dep_scan_steps{0};
-    std::atomic<std::uint64_t> lock_shard_contention{0};
-    std::atomic<std::uint64_t> dep_oracle_checks{0};
-    std::atomic<std::uint64_t> transfers_elided{0};
-    std::atomic<std::uint64_t> bytes_elided{0};
-    std::atomic<std::uint64_t> transfer_chunks{0};
-    std::atomic<std::uint64_t> pipeline_serial_us{0};
-    std::atomic<std::uint64_t> pipeline_actual_us{0};
-    std::atomic<std::uint64_t> coherence_oracle_checks{0};
-    std::atomic<std::uint64_t> checkpoints_taken{0};
-    std::atomic<std::uint64_t> checkpoint_bytes_written{0};
-    std::atomic<std::uint64_t> checkpoint_bytes_skipped_clean{0};
-    std::atomic<std::uint64_t> restores_performed{0};
-    std::atomic<std::uint64_t> evictions{0};
-    std::atomic<std::uint64_t> spill_bytes_written{0};
-    std::atomic<std::uint64_t> spill_bytes_dropped_clean{0};
-    std::atomic<std::uint64_t> refetches{0};
-  };
-
   RuntimeConfig config_;
   std::unique_ptr<Executor> executor_;
   Topology topology_;
@@ -966,7 +827,6 @@ class Runtime {
   /// Per-(domain, kind) budget ledger + resident-incarnation LRU/pin
   /// bookkeeping (gov_mu_).
   MemoryGovernor governor_;
-  bool evict_enabled_ = true;  ///< resolved config.eviction minus HS_NO_EVICT
   /// Actions parked by out-of-core backpressure: their dispatch-time
   /// admission found every victim pinned by *other* in-flight actions.
   /// retry_deferred() re-dispatches them when pins or capacity free
@@ -996,16 +856,12 @@ class Runtime {
   /// Tenant counter slices, indexed by tenant id - 1. Deque: entries are
   /// pointer-stable, so StreamState::slice and hot paths never take
   /// tenants_mutex_ (which guards only registration and snapshots).
-  std::deque<TenantCounters> tenant_slices_;
+  std::deque<CounterArray> tenant_slices_;
   mutable std::shared_mutex tenants_mutex_;
   std::atomic<AdmissionHook*> admission_hook_{nullptr};
-  /// Mutable: const introspection paths still count scan steps.
-  mutable AtomicStats stats_;
-  bool dep_legacy_ = false;  ///< resolved config ∪ HS_DEP_LEGACY
-  bool dep_oracle_ = false;  ///< resolved config ∪ HS_DEP_ORACLE
-  bool coherence_track_ = true;   ///< resolved coherence.track minus env off
-  bool coherence_elide_ = true;   ///< resolved coherence.elide minus env off
-  bool coherence_oracle_ = false;  ///< resolved ∪ HS_COHERENCE_ORACLE
+  /// The totals stats() snapshots. Mutable: const introspection paths
+  /// still count scan steps.
+  mutable CounterArray stats_{};
   /// Unreported sink errors, oldest first (bounded; see push_pending_error).
   std::deque<std::exception_ptr> pending_errors_;
   FaultInjector injector_;

@@ -284,7 +284,7 @@ void ThreadedExecutor::submit_peer_attempt(
             : t.length;
     const std::size_t count = (t.length + chunk - 1) / chunk;
     if (count > 1) {
-      runtime_->note_transfer_chunks(count);
+      runtime_->count(Counter::transfer_chunks, count);
     }
     struct Joint {
       std::atomic<std::size_t> remaining{0};

@@ -80,7 +80,7 @@ std::size_t coalesce_transfers(TaskGraph& graph, Runtime* runtime) {
   graph.nodes = std::move(out);
   graph.validate();
   if (runtime != nullptr && merged != 0) {
-    runtime->note_transfers_coalesced(merged);
+    runtime->count(Counter::transfers_coalesced, merged);
   }
   return merged;
 }
@@ -198,7 +198,7 @@ std::size_t drop_redundant_transfers(TaskGraph& graph, Runtime* runtime) {
   graph.nodes = std::move(out);
   graph.validate();
   if (runtime != nullptr && dropped != 0) {
-    runtime->note_transfers_coalesced(dropped);
+    runtime->count(Counter::transfers_coalesced, dropped);
   }
   return dropped;
 }

@@ -133,7 +133,7 @@ GraphExec::Launch GraphExec::admit(std::span<const std::uint32_t> members) {
     out.records[i] = record;
     (void)runtime_.submit(std::move(record), &dispatch.ready);
   }
-  runtime_.note_graph_replay();
+  runtime_.count(Counter::graph_replays);
   return out;
 }
 
@@ -160,7 +160,8 @@ GraphExec::Launch GraphExec::launch_subset(
   }
   Launch out = admit(nodes);
   if (count_recovery) {
-    runtime_.note_partial_recovery(nodes.size());
+    runtime_.count(Counter::partial_recoveries);
+    runtime_.count(Counter::actions_reexecuted, nodes.size());
   }
   return out;
 }

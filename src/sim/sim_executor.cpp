@@ -286,7 +286,7 @@ void SimExecutor::start_peer_attempt(
   }
   p->done = std::move(done);
   if (p->count > 1) {
-    runtime_->note_transfer_chunks(p->count);
+    runtime_->count(Counter::transfer_chunks, p->count);
   }
   // Hop 1 (peer -> host staging), chunks chained serially.
   p->advance_hop1 = [this, p] {

@@ -1,7 +1,11 @@
-// Unit tests for src/common: status/error model, RNG determinism, stats.
+// Unit tests for src/common: status/error model, RNG determinism, stats,
+// key=value lists.
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/kv_list.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/status.hpp"
@@ -157,6 +161,22 @@ TEST(Table, RendersAlignedColumns) {
 TEST(Table, FmtFormatsFixedPrecision) {
   EXPECT_EQ(fmt(3.14159, 2), "3.14");
   EXPECT_EQ(fmt(2.0, 0), "2");
+}
+
+TEST(KvList, MalformedItemsAndNonNumbersRaiseHsError) {
+  std::string seen;
+  parse_kv_list("a=1,,b=x=y,", "TEST",
+                [&](const std::string& k, const std::string& v) {
+                  seen += k + ":" + v + ";";
+                });
+  EXPECT_EQ(seen, "a:1;b:x=y;");
+  const auto ignore = [](const std::string&, const std::string&) {};
+  EXPECT_THROW(parse_kv_list("seed=1,p_stall", "TEST", ignore), Error);
+  EXPECT_THROW(parse_kv_list("=3", "TEST", ignore), Error);
+  EXPECT_DOUBLE_EQ(kv_number("TEST", "p", "2e-4"), 2e-4);
+  for (const char* value : {"", "abc", "1.5x", " 1"}) {
+    EXPECT_THROW((void)kv_number("TEST", "p", value), Error) << value;
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <numeric>
 
 #include "core/hstreams_compat.hpp"
+#include "scoped_hs_config.hpp"
 #include "core/threaded_executor.hpp"
 #include "sim/platform.hpp"
 #include "sim/sim_executor.hpp"
@@ -173,13 +174,13 @@ TEST_F(CompatApi, DeAllocReleasesBudget) {
   // over-budget create fails hard and DeAlloc is the only way to get
   // the bytes back. (With eviction on — the default — the second create
   // would simply evict the idle first buffer and succeed.)
-  setenv("HS_NO_EVICT", "1", 1);
   PlatformDesc platform = PlatformDesc::host_plus_cards(4, 1, 8);
   platform.domains[1].memory_bytes[MemKind::ddr] = 1 << 20;  // 1 MB card
   ASSERT_EQ(hStreams_SetPlatform(platform), HSTR_RESULT_SUCCESS);
-  const HSTR_RESULT init = hStreams_app_init(2);
-  unsetenv("HS_NO_EVICT");
-  ASSERT_EQ(init, HSTR_RESULT_SUCCESS);
+  {
+    const test::ScopedHsConfig no_eviction("eviction=0");
+    ASSERT_EQ(hStreams_app_init(2), HSTR_RESULT_SUCCESS);
+  }
 
   std::vector<double> big(96 * 1024);  // 768 KB
   ASSERT_EQ(hStreams_app_create_buf(big.data(),

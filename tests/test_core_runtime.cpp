@@ -1,17 +1,25 @@
 // Core runtime tests: buffers/proxy address space, stream FIFO semantics
 // with out-of-order execution, strict-FIFO (CUDA-like) policy, events,
-// transfers, host-as-target aliasing, and the app API layer.
+// transfers, host-as-target aliasing, the app API layer, the counter
+// table, and HS_CONFIG.
 //
-// All tests run on the ThreadedExecutor (the functional backend).
+// Runtimes run on the ThreadedExecutor (the functional backend), except
+// the bench-report check, which uses bench_util's simulated runtime.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <cstring>
 #include <numeric>
+#include <set>
+#include <string>
 
+#include "bench_util.hpp"
 #include "core/app_api.hpp"
 #include "core/runtime.hpp"
 #include "core/threaded_executor.hpp"
+#include "scoped_hs_config.hpp"
 
 namespace hs {
 namespace {
@@ -596,6 +604,93 @@ TEST(Stats, CountsActions) {
   EXPECT_EQ(st.transfers_enqueued, 1u);
   EXPECT_EQ(st.syncs_enqueued, 1u);
   EXPECT_EQ(st.actions_completed, 3u);
+}
+
+
+// --- The counter table ------------------------------------------------------
+
+TEST(CounterTable, EveryFieldOnceUnderDistinctNamesAndInTheBenchReport) {
+  static_assert(sizeof(RuntimeStats) == kCounterCount * sizeof(std::uint64_t));
+  report::counters().clear();
+  (void)bench::sim_runtime(sim::hsw_plus_knc(1))->tenant_register();
+  // Stamp each visited field with its 1-based visit number: a field that
+  // is missed or visited twice leaves a slot out of sequence.
+  RuntimeStats stats;
+  TenantStatsSlice slice;
+  std::set<std::string> names;
+  std::uint64_t rows = 0;
+  std::uint64_t tenant_rows = 0;
+  for_each_counter([&](const CounterInfo& c) {
+    EXPECT_EQ(static_cast<std::size_t>(c.id), rows);
+    EXPECT_TRUE(names.insert(c.name).second) << c.name;
+    EXPECT_EQ(report::counters().count(c.name), 1u) << c.name;
+    stats.*c.total = ++rows;
+    if (c.slice != nullptr) {
+      slice.*c.slice = ++tenant_rows;
+      EXPECT_EQ(report::counters().count(std::string("tenant1_") + c.name), 1u);
+    }
+  });
+  EXPECT_EQ(report::counters().size(), rows + tenant_rows);
+  report::counters().clear();
+  ASSERT_EQ(sizeof slice, tenant_rows * sizeof(std::uint64_t));
+  std::array<std::uint64_t, kCounterCount> totals{};
+  std::array<std::uint64_t, kCounterCount> slices{};
+  std::memcpy(totals.data(), &stats, sizeof stats);
+  std::memcpy(slices.data(), &slice, sizeof slice);
+  for (std::size_t i = 0; i < kCounterCount; ++i) {
+    EXPECT_EQ(totals[i], i + 1);
+    EXPECT_EQ(slices[i], i < tenant_rows ? i + 1 : 0);
+  }
+}
+
+// --- HS_CONFIG --------------------------------------------------------------
+
+/// Transfers elided when the same 4 KiB range is uploaded to the card twice.
+std::uint64_t repeated_upload_elisions(Runtime& rt) {
+  std::vector<double> x(512, 1.0);
+  rt.buffer_instantiate(rt.buffer_create(x.data(), 4096), DomainId{1});
+  const StreamId s = rt.stream_create(DomainId{1}, CpuMask::first_n(1));
+  (void)rt.enqueue_transfer(s, x.data(), 4096, XferDir::src_to_sink);
+  (void)rt.enqueue_transfer(s, x.data(), 4096, XferDir::src_to_sink);
+  rt.synchronize();
+  return rt.stats().transfers_elided;
+}
+
+TEST(HsConfig, ElideOffIsTheConfigInEffect) {
+  {
+    const test::ScopedHsConfig on("coherence.track=1,coherence.elide=1");
+    EXPECT_EQ(repeated_upload_elisions(*make_runtime()), 1u);
+  }
+  {
+    // Elision needs tracking: track=0 turns elide off too.
+    const test::ScopedHsConfig untracked("coherence.track=0,coherence.elide=1");
+    EXPECT_FALSE(make_runtime()->config().coherence.elide);
+  }
+  const test::ScopedHsConfig off("coherence.elide=0");
+  auto rt = make_runtime();
+  EXPECT_FALSE(rt->config().coherence.elide);
+  EXPECT_NE(hs_config_string(rt->config()).find("coherence.elide=0"),
+            std::string::npos);
+  EXPECT_EQ(repeated_upload_elisions(*rt), 0u);
+}
+
+TEST(HsConfig, MalformedItemsFailConstructionNamingTheKey) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"dep_orcale=1", "dep_orcale"},          // unknown key
+      {"dep_oracle=2", "dep_oracle"},          // value other than 0 or 1
+      {"eviction=yes", "eviction"},            // value other than 0 or 1
+      {"coherence.track", "coherence.track"},  // no '='
+  };
+  for (const auto& [items, key] : cases) {
+    const test::ScopedHsConfig bad(items);
+    try {
+      (void)make_runtime();
+      ADD_FAILURE() << "HS_CONFIG=" << items << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), Errc::invalid_argument) << items;
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << items;
+    }
+  }
 }
 
 }  // namespace

@@ -14,7 +14,7 @@
 //    captured streams mapped onto one: replay admits through the same
 //    path, so the oracle checks every replayed admission too.
 //  - A determinism fingerprint: the same workload replayed in virtual
-//    time with the index and with HS_DEP_LEGACY-style pairwise scanning
+//    time with the index and with dep_legacy_scan-style pairwise scanning
 //    must produce bit-identical schedules (same now(), same dispatch
 //    counts) — the index is an optimization, never a semantic change.
 //  - Cancel hazards on the threaded executor: a cancelled pending writer

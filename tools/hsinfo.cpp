@@ -2,7 +2,8 @@
 // and enumerable" surface, §II).
 //
 // Prints the domains, their kinds, thread counts, memory budgets and
-// links for a chosen emulated platform.
+// links for a chosen emulated platform, the effective HS_CONFIG, the
+// counters each probe below moves, and finally every runtime counter.
 //
 // Usage: hsinfo [hsw|ivb] [cards] [remote_nodes] [--key=value ...]
 //        hsinfo --inspect-checkpoint=<dir>
@@ -25,9 +26,11 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "checkpoint/checkpoint.hpp"
 #include "checkpoint/manifest.hpp"
+#include "common/kv_list.hpp"
 #include "core/runtime.hpp"
 #include "service/service.hpp"
 #include "service/session.hpp"
@@ -49,7 +52,27 @@ const char* flag_value(int argc, char** argv, const char* name) {
 
 double flag_double(int argc, char** argv, const char* name, double fallback) {
   const char* v = flag_value(argc, argv, name);
-  return v != nullptr ? std::atof(v) : fallback;
+  return v != nullptr ? hs::kv_number("hsinfo", name, v) : fallback;
+}
+
+/// Prints every counter that moved from `before` to `after`, on one line.
+/// Takes RuntimeStats or, for the tenant-scoped rows, TenantStatsSlice.
+template <typename Stats>
+void print_moved(const Stats& before, const Stats& after) {
+  std::printf(" ");
+  hs::for_each_counter([&](const hs::CounterInfo& c) {
+    std::uint64_t Stats::*field = nullptr;
+    if constexpr (std::is_same_v<Stats, hs::RuntimeStats>) {
+      field = c.total;
+    } else {
+      field = c.slice;
+    }
+    if (field != nullptr && after.*field != before.*field) {
+      std::printf(" %s=%llu", c.name,
+                  static_cast<unsigned long long>(after.*field - before.*field));
+    }
+  });
+  std::printf("\n");
 }
 
 /// --inspect-checkpoint=<dir>: dump and verify every committed epoch.
@@ -206,15 +229,20 @@ int main(int argc, char** argv) {
               "multiplier=%g\n",
               retry.max_attempts, retry.base_backoff_s * 1e6,
               retry.multiplier);
+  // The switches in effect, $HS_CONFIG applied, in HS_CONFIG's own syntax.
+  std::printf("runtime config: HS_CONFIG=%s\n",
+              hs_config_string(runtime.config()).c_str());
 
   // Admission-path probe: a short multi-stream enqueue burst through the
   // per-buffer dependence index, so the discovery tool also reports what
-  // dependence analysis costs on this build (HS_DEP_LEGACY / HS_DEP_ORACLE
-  // change these numbers; see DESIGN.md "Scalable admission path").
+  // dependence analysis costs on this build (HS_CONFIG keys dep_legacy_scan
+  // and dep_oracle change these numbers; see DESIGN.md "Scalable admission
+  // path").
   {
     constexpr std::size_t kStreams = 4;
     constexpr std::size_t kActionsPerStream = 64;
     static double burst_data[kStreams * kActionsPerStream];
+    const RuntimeStats before = runtime.stats();
     (void)runtime.buffer_create(burst_data, sizeof burst_data);
     for (std::size_t s = 0; s < kStreams; ++s) {
       const StreamId stream =
@@ -233,21 +261,15 @@ int main(int argc, char** argv) {
       }
     }
     runtime.synchronize();
-    const RuntimeStats stats = runtime.stats();
     std::printf("\nadmission path (%zu streams x %zu actions):\n", kStreams,
                 kActionsPerStream);
-    std::printf("  dep_index_hits=%llu dep_scan_steps=%llu "
-                "lock_shard_contention=%llu dep_oracle_checks=%llu\n",
-                static_cast<unsigned long long>(stats.dep_index_hits),
-                static_cast<unsigned long long>(stats.dep_scan_steps),
-                static_cast<unsigned long long>(stats.lock_shard_contention),
-                static_cast<unsigned long long>(stats.dep_oracle_checks));
+    print_moved(before, runtime.stats());
   }
 
-  // Byte-range coherence: config echo (HS_COHERENCE_OFF / HS_NO_ELIDE /
-  // HS_COHERENCE_ORACLE change these; see DESIGN.md "Byte-range
-  // coherence") plus a probe — the same upload twice, where the second
-  // is provably redundant and should be elided.
+  // Byte-range coherence: the settings in effect (HS_CONFIG keys
+  // coherence.track / .elide / .oracle change them; see DESIGN.md
+  // "Byte-range coherence") plus a probe — the same upload twice, where
+  // the second is provably redundant and is elided unless elision is off.
   {
     const CoherenceConfig& coh = runtime.config().coherence;
     std::printf("\nbyte-range coherence: track=%s elide=%s oracle=%s\n",
@@ -272,17 +294,8 @@ int main(int argc, char** argv) {
       (void)runtime.enqueue_transfer(stream, probe_data, sizeof probe_data,
                                      XferDir::src_to_sink);
       runtime.synchronize();
-      const RuntimeStats after = runtime.stats();
-      std::printf("  probe (same %zu-byte upload twice): "
-                  "transfers_elided=%llu bytes_elided=%llu "
-                  "bytes_transferred=%llu\n",
-                  sizeof probe_data,
-                  static_cast<unsigned long long>(after.transfers_elided -
-                                                  before.transfers_elided),
-                  static_cast<unsigned long long>(after.bytes_elided -
-                                                  before.bytes_elided),
-                  static_cast<unsigned long long>(after.bytes_transferred -
-                                                  before.bytes_transferred));
+      std::printf("  probe (same %zu-byte upload twice):\n", sizeof probe_data);
+      print_moved(before, runtime.stats());
     }
   }
 
@@ -297,6 +310,7 @@ int main(int argc, char** argv) {
     if (tmp != nullptr) {
       static double ckpt_data[1024];
       const BufferId probe = runtime.buffer_create(ckpt_data, sizeof ckpt_data);
+      const RuntimeStats before = runtime.stats();
       {
         ckpt::CheckpointConfig cc;
         cc.directory = tmp;
@@ -305,23 +319,12 @@ int main(int argc, char** argv) {
         manager.checkpoint().expect("hsinfo: checkpoint probe epoch 1");
         runtime.note_host_write(ckpt_data, 16 * sizeof(double));
         manager.checkpoint().expect("hsinfo: checkpoint probe epoch 2");
-        RuntimeStats cstats = runtime.stats();
         runtime.restore_from_checkpoint(manager)
             .expect("hsinfo: checkpoint probe restore");
-        cstats = runtime.stats();
         std::printf("\ndurable checkpoint (probe: %zu-byte buffer, full + "
                     "128-byte incremental epoch, restore):\n",
                     sizeof ckpt_data);
-        std::printf("  checkpoints_taken=%llu checkpoint_bytes_written=%llu "
-                    "checkpoint_bytes_skipped_clean=%llu "
-                    "restores_performed=%llu\n",
-                    static_cast<unsigned long long>(cstats.checkpoints_taken),
-                    static_cast<unsigned long long>(
-                        cstats.checkpoint_bytes_written),
-                    static_cast<unsigned long long>(
-                        cstats.checkpoint_bytes_skipped_clean),
-                    static_cast<unsigned long long>(
-                        cstats.restores_performed));
+        print_moved(before, runtime.stats());
         std::printf("  (inspect any checkpoint directory with "
                     "hsinfo --inspect-checkpoint=<dir>)\n");
       }
@@ -376,20 +379,15 @@ int main(int argc, char** argv) {
                 svc.config().fair_admission ? "weighted_drr" : "off",
                 static_cast<unsigned long long>(svc.config().quantum),
                 svc.config().permits);
-    std::printf("  %-12s %-7s %9s %9s %10s %8s %8s %8s %8s\n", "tenant",
-                "weight", "computes", "xfers", "bytes", "elided", "gate",
-                "waits", "rejects");
     for (std::uint32_t t = 1; t <= svc.tenant_count(); ++t) {
       const service::TenantStats ts = svc.tenant_stats(t);
-      std::printf("  %-12s %-7u %9llu %9llu %10llu %8llu %8llu %8llu %8llu\n",
+      std::printf("  %s (weight %u): gate_passes=%llu gate_waits=%llu "
+                  "quota_rejections=%llu\n ",
                   svc.tenant_config(t).name.c_str(), svc.tenant_config(t).weight,
-                  static_cast<unsigned long long>(ts.runtime.computes_enqueued),
-                  static_cast<unsigned long long>(ts.runtime.transfers_enqueued),
-                  static_cast<unsigned long long>(ts.runtime.bytes_transferred),
-                  static_cast<unsigned long long>(ts.runtime.transfers_elided),
                   static_cast<unsigned long long>(ts.gate_passes),
                   static_cast<unsigned long long>(ts.gate_waits),
                   static_cast<unsigned long long>(ts.quota_rejections));
+      print_moved(TenantStatsSlice{}, ts.runtime);
     }
   }
 
@@ -425,15 +423,17 @@ int main(int argc, char** argv) {
     ooc.synchronize();
     ooc.buffer_instantiate(ids[1], card);
     ooc.buffer_instantiate(ids[2], card);
-    const RuntimeStats os = ooc.stats();
     std::printf("\nout-of-core governor (probe: 3 x 4 KiB buffers through an "
                 "8 KiB card budget):\n");
-    std::printf("  evictions=%llu refetches=%llu spill_bytes_written=%llu "
-                "spill_bytes_dropped_clean=%llu\n",
-                static_cast<unsigned long long>(os.evictions),
-                static_cast<unsigned long long>(os.refetches),
-                static_cast<unsigned long long>(os.spill_bytes_written),
-                static_cast<unsigned long long>(os.spill_bytes_dropped_clean));
+    print_moved(RuntimeStats{}, ooc.stats());
   }
+
+  // Every counter of the main runtime after all the probes above.
+  std::printf("\nruntime counters (main runtime, all probes):\n");
+  const RuntimeStats totals = runtime.stats();
+  for_each_counter([&](const CounterInfo& c) {
+    std::printf("  %-31s %12llu  %s\n", c.name,
+                static_cast<unsigned long long>(totals.*c.total), c.doc);
+  });
   return 0;
 }
