@@ -7,6 +7,9 @@
 //     allocation overheads were significant."
 //   * "OmpSs ends up inducing overheads on top of hStreams of 15-50% for
 //     matrices that are 4800-10000 elements on a side."
+//
+// It also times the hsblas tile kernels on the Cholesky hot path, the
+// wall-clock floor under every threaded compute action.
 
 #include <algorithm>
 #include <chrono>
@@ -18,9 +21,11 @@
 #include "apps/tiled_matrix.hpp"
 #include "bench_util.hpp"
 #include "common/json_report.hpp"
+#include "common/rng.hpp"
 #include "graph/capture.hpp"
 #include "graph/replay.hpp"
 #include "hsblas/kernels.hpp"
+#include "hsblas/matrix.hpp"
 #include "ompss/ompss.hpp"
 
 namespace hs::bench {
@@ -251,6 +256,49 @@ void graph_replay_table() {
               lo->first, lo->second, hi->first, hi->second);
 }
 
+/// Wall-clock cost of one call of each Cholesky tile kernel at the
+/// production tile (128), best of the reps; `reset` restores the input
+/// outside the timed region. The perf-smoke gate holds these rows, so a
+/// return to a per-element kernel fails CI.
+void kernel_table() {
+  Table table("Kernel cost: hsblas Cholesky tile kernels at n=128 "
+              "(best of reps)");
+  table.header({"kernel", "us/call", "GF/s"});
+  using clock = std::chrono::steady_clock;
+  constexpr std::size_t kN = 128;
+  const int reps = quick_mode() ? 20 : 100;
+  Rng rng(1);
+  blas::Matrix a(kN, kN);
+  blas::Matrix b(kN, kN);
+  blas::Matrix spd(kN, kN);
+  a.randomize(rng);
+  b.randomize(rng);
+  spd.make_spd(rng);
+  blas::Matrix c = b;
+  const auto row = [&](const char* name, double flops, auto&& reset,
+                       auto&& call) {
+    double best = 1e30;
+    for (int rep = 0; rep < reps; ++rep) {
+      reset();
+      const auto t0 = clock::now();
+      call();
+      best = std::min(
+          best, std::chrono::duration<double>(clock::now() - t0).count());
+    }
+    table.row({name, fmt(1e6 * best, 1), fmt(1e-9 * flops / best, 2)});
+  };
+  const auto keep = [] {};
+  row("gemm(none,transpose)", blas::gemm_flops(kN, kN, kN), keep, [&] {
+    blas::gemm(blas::Op::none, blas::Op::transpose, -1.0, a.view(), b.view(),
+               1.0, c.view());
+  });
+  row("syrk_lower", blas::syrk_flops(kN, kN), keep,
+      [&] { blas::syrk_lower(-1.0, a.view(), 1.0, c.view()); });
+  row("potrf_lower", blas::potrf_flops(kN), [&] { c = spd; },
+      [&] { (void)blas::potrf_lower(c.view()); });
+  table.print();
+}
+
 }  // namespace
 }  // namespace hs::bench
 
@@ -260,6 +308,7 @@ int main() {
   hs::bench::ompss_overhead_table();
   hs::bench::async_alloc_table();
   hs::bench::graph_replay_table();
+  hs::bench::kernel_table();
   hs::report::write_json("overheads");
   return 0;
 }

@@ -10,6 +10,10 @@ max_regression factor (3x by default: generous enough for
 runner-to-runner variance, tight enough to catch an accidental return to
 O(window) scanning, which shows up as 5-20x at the tracked shapes).
 
+Kernel rows (BENCH_overheads.json) hold the wall-clock cost of one
+128-tile call of each Cholesky hsblas kernel to the same max_regression
+factor: a return to a per-element gemm or syrk costs 5-9x.
+
 Chain and accumulate rows (BENCH_enqueue_scale.json) must also stay flat
 in the window depth: on each executor and shape, the per-action cost at
 depth 4096 may be at most depth_flatness (2x) times the cost at depth 64,
@@ -70,6 +74,9 @@ def main():
     for row in table_rows(overheads, "Enqueue cost: eager vs graph replay"):
         check("eager_us_per_action", f"N={row[0]}", float(row[1]))
         check("replay_us_per_action", f"N={row[0]}", float(row[2]))
+
+    for row in table_rows(overheads, "Kernel cost"):
+        check("kernel_us_per_call", row[0], float(row[1]), unit="us/call")
 
     scale = load("BENCH_enqueue_scale.json")
     for row in table_rows(scale, "Per-action enqueue cost"):

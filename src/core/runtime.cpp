@@ -1693,6 +1693,9 @@ void Runtime::process_completion(const std::shared_ptr<ActionRecord>& record) {
       }
     }
 
+    // Counted in the same critical section that may retire the record,
+    // so an idle check sees the window entry or the firing count.
+    ++stream.firing;
     auto& window = stream.window;
     while (!window.empty() &&
            window.front()->state == ActionRecord::State::done) {
@@ -1749,6 +1752,7 @@ void Runtime::process_completion(const std::shared_ptr<ActionRecord>& record) {
   for (auto& callback : completion->fire()) {
     callback();
   }
+  --stream.firing;
   notify_waiters();
   for (const auto& r : ready) {
     dispatch(r);
@@ -1863,14 +1867,14 @@ void rethrow_pending(std::mutex& mutex,
 bool Runtime::stream_idle(StreamId stream) const {
   const StreamState& s = stream_state(stream);
   const std::scoped_lock lock(s.mu);
-  return s.window.empty();
+  return s.window.empty() && s.firing == 0;
 }
 
 bool Runtime::all_streams_idle() const {
   std::shared_lock streams(streams_mutex_);
   for (const auto& s : streams_) {
     const std::scoped_lock lock(s->mu);
-    if (!s->window.empty()) {
+    if (!s->window.empty() || s->firing != 0) {
       return false;
     }
   }

@@ -565,6 +565,10 @@ class Runtime {
     /// operands), in seq order: they conflict with every action, so they
     /// ride beside the byte-range index instead of inside it.
     std::vector<ActionId> barriers;
+    /// Actions already retired from `window` whose completion callbacks
+    /// are still running (process_completion). The stream is idle only
+    /// when this is zero too, so synchronize() covers the callbacks.
+    std::atomic<std::uint32_t> firing{0};
     /// Atomic so stream lookups need only the shared streams_mutex_.
     std::atomic<bool> alive{true};
     /// Service-mode binding (stream_bind_tenant). Written while the

@@ -2,136 +2,170 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 namespace hs::blas {
 namespace {
 
-constexpr std::size_t kBlock = 64;  // register/cache blocking factor
+// Goto/BLIS blocking (see kernels.hpp). kMC and kNC are multiples of kMR
+// and kNR so a packed block never outgrows its buffer.
+constexpr std::size_t kMR = 8;    // micro-tile rows
+constexpr std::size_t kNR = 4;    // micro-tile columns
+constexpr std::size_t kKC = 256;  // depth of one packed block
+constexpr std::size_t kMC = 128;  // rows of op(A) packed at once
+constexpr std::size_t kNC = 128;  // columns of op(B) packed at once
+constexpr std::size_t kPanel = 32;  // diagonal block of the blocked solves
 
-// Scales C by beta (handles beta == 0 without reading C).
-void scale(MatrixView c, double beta) {
+// Scales C (its lower triangle only when `lower`) by beta; beta == 0
+// writes zeros without reading C.
+void scale(MatrixView c, double beta, bool lower) {
   if (beta == 1.0) {
     return;
   }
   for (std::size_t j = 0; j < c.cols; ++j) {
-    for (std::size_t i = 0; i < c.rows; ++i) {
+    for (std::size_t i = lower ? j : 0; i < c.rows; ++i) {
       c(i, j) = beta == 0.0 ? 0.0 : beta * c(i, j);
     }
   }
 }
 
-// Element accessor honoring an Op without materializing the transpose.
-inline double elem(ConstMatrixView m, Op op, std::size_t i, std::size_t j) {
-  return op == Op::none ? m(i, j) : m(j, i);
+// Packs rows [r0, r0 + rows) x depth [p0, p0 + kc) of M into R-row
+// micro-panels, each stored depth-major: M(r0 + q + r, p0 + p) lands at
+// dst[q * kc + p * R + r] for the panel starting at row q, and rows past
+// the last are zero. M is `src`, or its transpose when `trans`.
+template <std::size_t R>
+void pack(ConstMatrixView src, bool trans, std::size_t r0, std::size_t rows,
+          std::size_t p0, std::size_t kc, double* dst) {
+  const std::size_t rs = trans ? src.ld : 1;  // stride between rows of M
+  const std::size_t ps = trans ? 1 : src.ld;  // stride along the depth
+  const double* base = src.data + r0 * rs + p0 * ps;
+  for (std::size_t q = 0; q < rows; q += R, dst += R * kc) {
+    const std::size_t live = std::min(R, rows - q);
+    for (std::size_t p = 0; p < kc; ++p) {
+      for (std::size_t r = 0; r < R; ++r) {
+        dst[p * R + r] = r < live ? base[(q + r) * rs + p * ps] : 0.0;
+      }
+    }
+  }
 }
 
-}  // namespace
+// acc = A-panel * B-panel over kc: the register-blocked inner loop. The
+// fixed-size loops vectorise at the default x86-64 target (SSE2).
+void micro_kernel(std::size_t kc, const double* __restrict a,
+                  const double* __restrict b, double* __restrict acc) {
+  double t[kNR][kMR] = {};
+  for (std::size_t p = 0; p < kc; ++p, a += kMR, b += kNR) {
+    for (std::size_t j = 0; j < kNR; ++j) {
+      for (std::size_t i = 0; i < kMR; ++i) {
+        t[j][i] += a[i] * b[j];
+      }
+    }
+  }
+  std::copy(&t[0][0], &t[0][0] + kMR * kNR, acc);
+}
 
-void gemm(Op op_a, Op op_b, double alpha, ConstMatrixView a, ConstMatrixView b,
-          double beta, MatrixView c) {
+// C = beta * C + alpha * op(A) * op(B): the one packed core under every
+// kernel. With `lower`, only C(i, j) with i >= j is read or written, and
+// micro-tiles wholly above the diagonal are skipped.
+void core(Op op_a, Op op_b, double alpha, ConstMatrixView a,
+          ConstMatrixView b, double beta, MatrixView c, bool lower) {
   const std::size_t m = c.rows;
   const std::size_t n = c.cols;
-  const std::size_t k = (op_a == Op::none) ? a.cols : a.rows;
-  require(((op_a == Op::none) ? a.rows : a.cols) == m, "gemm: A shape");
-  require(((op_b == Op::none) ? b.rows : b.cols) == k, "gemm: B shape");
-  require(((op_b == Op::none) ? b.cols : b.rows) == n, "gemm: B shape");
-
-  scale(c, beta);
+  const std::size_t k = op_a == Op::none ? a.cols : a.rows;
+  scale(c, beta, lower);
   if (alpha == 0.0 || k == 0) {
     return;
   }
-
-  // Fast path: A untransposed, B untransposed — the hot combination for
-  // the tiled matmul app. Loop order j-k-i keeps A and C column accesses
-  // unit-stride.
-  if (op_a == Op::none && op_b == Op::none) {
-    for (std::size_t j0 = 0; j0 < n; j0 += kBlock) {
-      const std::size_t j1 = std::min(j0 + kBlock, n);
-      for (std::size_t k0 = 0; k0 < k; k0 += kBlock) {
-        const std::size_t k1 = std::min(k0 + kBlock, k);
-        for (std::size_t j = j0; j < j1; ++j) {
-          for (std::size_t kk = k0; kk < k1; ++kk) {
-            const double bkj = alpha * b(kk, j);
-            if (bkj == 0.0) {
-              continue;
+  thread_local const std::unique_ptr<double[]> a_pack(new double[kMC * kKC]);
+  thread_local const std::unique_ptr<double[]> b_pack(new double[kKC * kNC]);
+  double acc[kMR * kNR];
+  for (std::size_t jc = 0; jc < n; jc += kNC) {
+    const std::size_t nc = std::min(kNC, n - jc);
+    for (std::size_t pc = 0; pc < k; pc += kKC) {
+      const std::size_t kc = std::min(kKC, k - pc);
+      pack<kNR>(b, op_b == Op::none, jc, nc, pc, kc, b_pack.get());
+      for (std::size_t ic = lower ? jc : 0; ic < m; ic += kMC) {
+        const std::size_t mc = std::min(kMC, m - ic);
+        pack<kMR>(a, op_a == Op::transpose, ic, mc, pc, kc, a_pack.get());
+        for (std::size_t jr = 0; jr < nc; jr += kNR) {
+          for (std::size_t ir = 0; ir < mc; ir += kMR) {
+            const std::size_t i0 = ic + ir;
+            const std::size_t j0 = jc + jr;
+            if (lower && i0 + kMR <= j0) {
+              continue;  // every row of the micro-tile is above the diagonal
             }
-            const double* acol = &a(0, kk);
-            double* ccol = &c(0, j);
-            for (std::size_t i = 0; i < m; ++i) {
-              ccol[i] += acol[i] * bkj;
+            micro_kernel(kc, &a_pack[ir * kc], &b_pack[jr * kc], acc);
+            const std::size_t mr = std::min(kMR, mc - ir);
+            const std::size_t nr = std::min(kNR, nc - jr);
+            for (std::size_t j = 0; j < nr; ++j) {
+              for (std::size_t i = lower && j0 + j > i0 ? j0 + j - i0 : 0;
+                   i < mr; ++i) {
+                c(i0 + i, j0 + j) += alpha * acc[j * kMR + i];
+              }
             }
           }
-        }
-      }
-    }
-    return;
-  }
-
-  // General path for transposed operands (used by Cholesky's
-  // A21 * A31^T updates, via gemm(none, transpose, ...)).
-  for (std::size_t j0 = 0; j0 < n; j0 += kBlock) {
-    const std::size_t j1 = std::min(j0 + kBlock, n);
-    for (std::size_t i0 = 0; i0 < m; i0 += kBlock) {
-      const std::size_t i1 = std::min(i0 + kBlock, m);
-      for (std::size_t j = j0; j < j1; ++j) {
-        for (std::size_t i = i0; i < i1; ++i) {
-          double acc = 0.0;
-          for (std::size_t kk = 0; kk < k; ++kk) {
-            acc += elem(a, op_a, i, kk) * elem(b, op_b, kk, j);
-          }
-          c(i, j) += alpha * acc;
         }
       }
     }
   }
 }
 
-void syrk_lower(double alpha, ConstMatrixView a, double beta, MatrixView c) {
-  const std::size_t n = c.rows;
-  const std::size_t k = a.cols;
-  require(c.cols == n && a.rows == n, "syrk: shape");
-
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t i = j; i < n; ++i) {
-      double acc = 0.0;
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        acc += a(i, kk) * a(j, kk);
+// Unblocked X * L^T = B, a column sweep; `unit` takes L's diagonal as 1.
+void trsm_right_unblocked(ConstMatrixView l, MatrixView b, bool unit) {
+  for (std::size_t j = 0; j < l.rows; ++j) {
+    if (!unit) {
+      const double inv = 1.0 / l(j, j);
+      for (std::size_t i = 0; i < b.rows; ++i) {
+        b(i, j) *= inv;
       }
-      c(i, j) = (beta == 0.0 ? 0.0 : beta * c(i, j)) + alpha * acc;
     }
-  }
-}
-
-void trsm_right_lower_trans(ConstMatrixView l, MatrixView b) {
-  const std::size_t n = l.rows;
-  require(l.cols == n && b.cols == n, "trsm: shape");
-  const std::size_t m = b.rows;
-
-  // Solve X * L^T = B for X, i.e. column sweep: for each column j of X,
-  // x_j = (b_j - sum_{p<j} x_p * l(j,p)) / l(j,j).
-  for (std::size_t j = 0; j < n; ++j) {
-    const double inv = 1.0 / l(j, j);
-    for (std::size_t i = 0; i < m; ++i) {
-      b(i, j) *= inv;
-    }
-    for (std::size_t p = j + 1; p < n; ++p) {
+    for (std::size_t p = j + 1; p < l.rows; ++p) {
       const double lpj = l(p, j);
-      if (lpj == 0.0) {
-        continue;
-      }
-      for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t i = 0; lpj != 0.0 && i < b.rows; ++i) {
         b(i, p) -= b(i, j) * lpj;
       }
     }
   }
 }
 
-int potrf_lower(MatrixView a) {
-  const std::size_t n = a.rows;
-  require(a.cols == n, "potrf: square matrix required");
+// Unblocked L * X = B with unit-diagonal L: forward substitution.
+void trsm_left_unit_unblocked(ConstMatrixView l, MatrixView b) {
+  for (std::size_t j = 0; j < b.cols; ++j) {
+    for (std::size_t k = 0; k < l.rows; ++k) {
+      const double bkj = b(k, j);
+      for (std::size_t i = k + 1; bkj != 0.0 && i < l.rows; ++i) {
+        b(i, j) -= l(i, k) * bkj;
+      }
+    }
+  }
+}
 
-  for (std::size_t j = 0; j < n; ++j) {
+// The blocked solve shared by every triangular solve: left-looking over
+// kPanel-wide diagonal blocks of the lower triangle `l`. Each block first
+// subtracts the already-solved blocks in one core call, then runs the
+// unblocked solve. Right side: X * L^T = B; left side: L * X = B (unit).
+void trsm_lower(bool right, bool unit, ConstMatrixView l, MatrixView b) {
+  for (std::size_t j0 = 0; j0 < l.rows; j0 += kPanel) {
+    const std::size_t jb = std::min(kPanel, l.rows - j0);
+    const ConstMatrixView diag = l.tile(j0, j0, jb, jb);
+    if (right) {
+      const MatrixView bj = b.tile(0, j0, b.rows, jb);
+      core(Op::none, Op::transpose, -1.0, b.tile(0, 0, b.rows, j0),
+           l.tile(j0, 0, jb, j0), 1.0, bj, false);
+      trsm_right_unblocked(diag, bj, unit);
+    } else {
+      const MatrixView bj = b.tile(j0, 0, jb, b.cols);
+      core(Op::none, Op::none, -1.0, l.tile(j0, 0, jb, j0),
+           b.tile(0, 0, j0, b.cols), 1.0, bj, false);
+      trsm_left_unit_unblocked(diag, bj);
+    }
+  }
+}
+
+// Unblocked lower Cholesky of one diagonal block (dot-product form).
+int potrf_unblocked(MatrixView a) {
+  for (std::size_t j = 0; j < a.rows; ++j) {
     double d = a(j, j);
     for (std::size_t p = 0; p < j; ++p) {
       d -= a(j, p) * a(j, p);
@@ -142,34 +176,61 @@ int potrf_lower(MatrixView a) {
     const double ljj = std::sqrt(d);
     a(j, j) = ljj;
     const double inv = 1.0 / ljj;
-    for (std::size_t i = j + 1; i < n; ++i) {
+    for (std::size_t i = j + 1; i < a.rows; ++i) {
       double acc = a(i, j);
       for (std::size_t p = 0; p < j; ++p) {
         acc -= a(i, p) * a(j, p);
       }
       a(i, j) = acc * inv;
     }
-    // Zero the upper triangle reference values lazily: callers treat the
-    // upper part as undefined, matching LAPACK.
+  }
+  return 0;
+}
+
+}  // namespace
+
+void gemm(Op op_a, Op op_b, double alpha, ConstMatrixView a, ConstMatrixView b,
+          double beta, MatrixView c) {
+  const std::size_t k = (op_a == Op::none) ? a.cols : a.rows;
+  require(((op_a == Op::none) ? a.rows : a.cols) == c.rows, "gemm: A shape");
+  require(((op_b == Op::none) ? b.rows : b.cols) == k, "gemm: B shape");
+  require(((op_b == Op::none) ? b.cols : b.rows) == c.cols, "gemm: B shape");
+  core(op_a, op_b, alpha, a, b, beta, c, false);
+}
+
+void syrk_lower(double alpha, ConstMatrixView a, double beta, MatrixView c) {
+  require(c.cols == c.rows && a.rows == c.rows, "syrk: shape");
+  core(Op::none, Op::transpose, alpha, a, a, beta, c, true);
+}
+
+void trsm_right_lower_trans(ConstMatrixView l, MatrixView b) {
+  require(l.cols == l.rows && b.cols == l.rows, "trsm: shape");
+  trsm_lower(/*right=*/true, /*unit=*/false, l, b);
+}
+
+int potrf_lower(MatrixView a) {
+  const std::size_t n = a.rows;
+  require(a.cols == n, "potrf: square matrix required");
+  // Left-looking: fold the factored columns into this block column (lower
+  // mode keeps the diagonal block's upper part untouched), factor its
+  // diagonal block, then solve the panel below it. Callers treat the
+  // upper triangle as undefined, matching LAPACK.
+  for (std::size_t j0 = 0; j0 < n; j0 += kPanel) {
+    const std::size_t jb = std::min(kPanel, n - j0);
+    core(Op::none, Op::transpose, -1.0, a.tile(j0, 0, n - j0, j0),
+         a.tile(j0, 0, jb, j0), 1.0, a.tile(j0, j0, n - j0, jb), true);
+    const MatrixView diag = a.tile(j0, j0, jb, jb);
+    if (const int info = potrf_unblocked(diag); info != 0) {
+      return static_cast<int>(j0) + info;
+    }
+    trsm_right_unblocked(diag, a.tile(j0 + jb, j0, n - j0 - jb, jb), false);
   }
   return 0;
 }
 
 void trsm_left_lower_unit(ConstMatrixView l, MatrixView b) {
-  const std::size_t n = l.rows;
-  require(l.cols == n && b.rows == n, "trsm_left: shape");
-  // Forward substitution down each column of B; unit diagonal.
-  for (std::size_t j = 0; j < b.cols; ++j) {
-    for (std::size_t k = 0; k < n; ++k) {
-      const double bkj = b(k, j);
-      if (bkj == 0.0) {
-        continue;
-      }
-      for (std::size_t i = k + 1; i < n; ++i) {
-        b(i, j) -= l(i, k) * bkj;
-      }
-    }
-  }
+  require(l.cols == l.rows && b.rows == l.rows, "trsm_left: shape");
+  trsm_lower(/*right=*/false, /*unit=*/true, l, b);
 }
 
 int getrf(MatrixView a, std::size_t* pivots) {
@@ -217,24 +278,12 @@ int getrf(MatrixView a, std::size_t* pivots) {
 void ldlt_trsm_right(ConstMatrixView f, MatrixView b) {
   const std::size_t n = f.rows;
   require(f.cols == n && b.cols == n, "ldlt_trsm: shape");
-  const std::size_t m = b.rows;
-
-  // Solve X * L^T = B with unit-diagonal L (column sweep), then scale
-  // each column by 1/d_j.
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t p = j + 1; p < n; ++p) {
-      const double lpj = f(p, j);
-      if (lpj == 0.0) {
-        continue;
-      }
-      for (std::size_t i = 0; i < m; ++i) {
-        b(i, p) -= b(i, j) * lpj;
-      }
-    }
-  }
+  // Solve X * L^T = B with unit-diagonal L, then scale each column by
+  // 1/d_j.
+  trsm_lower(/*right=*/true, /*unit=*/true, f, b);
   for (std::size_t j = 0; j < n; ++j) {
     const double inv = 1.0 / f(j, j);
-    for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t i = 0; i < b.rows; ++i) {
       b(i, j) *= inv;
     }
   }
@@ -242,23 +291,18 @@ void ldlt_trsm_right(ConstMatrixView f, MatrixView b) {
 
 void ldlt_update(ConstMatrixView a, ConstMatrixView f, ConstMatrixView b,
                  MatrixView c) {
-  const std::size_t m = c.rows;
   const std::size_t n = c.cols;
   const std::size_t k = a.cols;
-  require(a.rows == m && b.rows == n && b.cols == k && f.rows == k,
+  require(a.rows == c.rows && b.rows == n && b.cols == k && f.rows == k,
           "ldlt_update: shape");
-
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t p = 0; p < k; ++p) {
-      const double w = f(p, p) * b(j, p);  // d_p * b(j,p)
-      if (w == 0.0) {
-        continue;
-      }
-      for (std::size_t i = 0; i < m; ++i) {
-        c(i, j) -= a(i, p) * w;
-      }
+  // C -= A * (B * D)^T: scale B's columns by d in a per-call temporary.
+  Matrix bd(n, k);
+  for (std::size_t p = 0; p < k; ++p) {
+    for (std::size_t j = 0; j < n; ++j) {
+      bd(j, p) = b(j, p) * f(p, p);
     }
   }
+  core(Op::none, Op::transpose, -1.0, a, bd.view(), 1.0, c, false);
 }
 
 int ldlt_lower(MatrixView a) {

@@ -1,12 +1,31 @@
 #pragma once
 
-// Blocked dense kernels — the repository's MKL stand-in.
+// Dense tile kernels — the repository's MKL stand-in.
 //
-// These are the compute payloads the runtime schedules. They are written
-// for clarity and cache-friendliness, not peak FLOPs: in this
-// reproduction, *relative* device performance comes from the calibrated
-// simulator models (src/sim), while these kernels provide numerically
-// correct results that tests validate against the naive references in
+// Every kernel except getrf and ldlt_lower runs on one Goto/BLIS-style
+// packed gemm core (Goto & van de Geijn, "Anatomy of High-Performance
+// Matrix Multiplication", ACM TOMS 34(3), 2008):
+//
+//   * op(A) is packed into MR-row micro-panels and op(B) into NR-column
+//     micro-panels, zero-padded at the edges, one KC-deep block at a time
+//     (MR x NR = 8 x 4, KC = 256). The pack buffers are per thread and
+//     bounded by the block sizes (MC x KC and KC x NC, MC = NC = 128), not
+//     by the operands.
+//   * An MR x NR register-blocked micro-kernel in plain C++ does the
+//     flops; GCC vectorises it at the default x86-64 target. No
+//     intrinsics, no -march, no threads inside a kernel: streams and
+//     teams stay the unit of parallelism.
+//   * A lower-triangle mode skips micro-tiles above the diagonal and
+//     masks the write-back; syrk_lower and the potrf update use it.
+//   * The triangular solves and potrf are blocked left-looking over
+//     32-wide diagonal blocks: one core update per block, then a small
+//     unblocked solve or factorization of the block.
+//
+// Kernels are deterministic per call: the same inputs give the same bytes
+// on any thread, whatever the leading dimensions. In this reproduction,
+// *relative* device performance comes from the calibrated simulator
+// models (src/sim); these kernels are the real work on the threaded
+// executor, and tests validate them against the naive references in
 // reference.hpp.
 //
 // Conventions follow LAPACK: column-major, lower-triangular factors.
@@ -20,7 +39,7 @@ namespace hs::blas {
 /// Transposition selector for gemm operands.
 enum class Op { none, transpose };
 
-/// C = alpha * op(A) * op(B) + beta * C  (blocked).
+/// C = alpha * op(A) * op(B) + beta * C on the packed core.
 void gemm(Op op_a, Op op_b, double alpha, ConstMatrixView a, ConstMatrixView b,
           double beta, MatrixView c);
 

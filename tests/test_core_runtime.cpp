@@ -10,10 +10,12 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <numeric>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "bench_util.hpp"
 #include "core/app_api.hpp"
@@ -477,6 +479,43 @@ TEST(Events, SignalFiresAfterEarlierConflicts) {
   auto signal = rt->enqueue_signal(s);  // stream-wide
   signal->wait_blocking();
   EXPECT_TRUE(task_done.load());
+}
+
+TEST(Events, SynchronizeCoversCompletionCallbacks) {
+  // The action leaves its stream's window before its completion
+  // callbacks run. A synchronize() issued while a slow callback is still
+  // running must wait for it, not see an empty window and return.
+  auto rt = make_runtime();
+  std::vector<double> x(8, 0.0);
+  (void)rt->buffer_create(x.data(), sizeof(double) * 8);
+  const StreamId s = rt->stream_create(kHostDomain, CpuMask::first_n(1));
+  for (const bool whole_runtime : {true, false}) {
+    std::atomic<bool> release{false};
+    std::atomic<bool> in_callback{false};
+    std::atomic<bool> callback_done{false};
+    ComputePayload p;
+    p.body = [&release](TaskContext&) {
+      while (!release.load()) {
+        std::this_thread::yield();
+      }
+    };
+    const OperandRef ops[] = {out(x.data(), sizeof(double) * 8)};
+    rt->enqueue_compute(s, std::move(p), ops)->on_fire([&] {
+      in_callback.store(true);
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      callback_done.store(true);
+    });
+    release.store(true);
+    while (!in_callback.load()) {
+      std::this_thread::yield();
+    }
+    if (whole_runtime) {
+      rt->synchronize();
+    } else {
+      rt->stream_synchronize(s);
+    }
+    EXPECT_TRUE(callback_done.load()) << "whole runtime: " << whole_runtime;
+  }
 }
 
 // --- Task context ---------------------------------------------------------------
